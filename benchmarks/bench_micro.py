@@ -10,11 +10,13 @@ from __future__ import annotations
 import random
 import time
 
-from repro.analysis.impact import analyze_change
+from repro.analysis.aggregate import aggregate_discrepancies
+from repro.analysis.impact import ChangeImpactReport, analyze_change
 from repro.bench import bench_scale
-from repro.fdd import construct_fdd, generate_firewall, reduce_fdd
-from repro.fdd.canonical import semantic_fingerprint
-from repro.fdd.fast import HashConsStore, compare_fast, construct_fdd_fast
+from repro.fdd import compare_firewalls, construct_fdd, generate_firewall, reduce_fdd
+from repro.fdd.canonical import fingerprint_canonical, semantic_fingerprint
+from repro.fdd.fast import compare_fast, construct_fdd_fast
+from repro.fdd.store import NodeStore
 from repro.fields import PacketSampler
 from repro.intervals import IntervalSet
 from repro.synth import SyntheticFirewallGenerator, average_42, generate_firewall_pair
@@ -103,7 +105,7 @@ def test_bench_interval_kernel(benchmark, json_saver):
             a.subtract(b)
 
     def interned():
-        store = HashConsStore()
+        store = NodeStore()
         for a, b in pairs:
             store.intersect(a, b)
             store.union(a, b)
@@ -176,7 +178,7 @@ def test_bench_store_engines(benchmark, json_saver):
     # exactly once and reuse the result for the parity checks.
     store_fp_ms = _best_ms(lambda: semantic_fingerprint(fw_a))
     tree_fp, tree_fp_ms = _timed_once(
-        lambda: semantic_fingerprint(fw_a, engine="reference")
+        lambda: fingerprint_canonical(reduce_fdd(construct_fdd(fw_a)))
     )
     fp_agree = semantic_fingerprint(fw_a) == tree_fp
 
@@ -192,7 +194,11 @@ def test_bench_store_engines(benchmark, json_saver):
         cmp_a, cmp_b = generate_firewall_pair(tree_cmp_size, seed=13)
     _, store_impact_ms = _timed_once(lambda: analyze_change(fw_a, fw_b))
     tree_impact, tree_impact_ms = _timed_once(
-        lambda: analyze_change(cmp_a, cmp_b, engine="reference")
+        lambda: ChangeImpactReport(
+            before=cmp_a,
+            after=cmp_b,
+            discrepancies=aggregate_discrepancies(compare_firewalls(cmp_a, cmp_b)),
+        )
     )
     impact_agree = (
         analyze_change(cmp_a, cmp_b).affected_packets()

@@ -120,14 +120,13 @@ def compare_with_fallback(
 ) -> ComparisonReport:
     """Exact comparison under a budget, degrading to sampling on trip.
 
-    Runs the paper's exact pipeline
-    (:func:`repro.fdd.comparison.compare_firewalls`) under ``budget`` (or
-    an explicit ``guard``).  Within budget, the returned report is exact
-    (``approximate=False``, ``coverage=1.0``).  If the budget trips, the
-    partial exact state is discarded — nothing half-built leaks — and
-    :func:`approximate_compare` produces a flagged partial report whose
-    ``outcome`` records which resource was exhausted and how far the
-    exact attempt got.  The function only raises for *non-budget* errors
+    Runs the exact comparison (:func:`repro.fdd.fast.compare_fast`)
+    under ``budget`` (or an explicit ``guard``).  Within budget, the
+    returned report is exact (``approximate=False``, ``coverage=1.0``).
+    If the budget trips, the partial exact state is discarded — nothing
+    half-built leaks — and :func:`approximate_compare` produces a flagged
+    partial report whose ``outcome`` records which resource was exhausted
+    and how far the exact attempt got.  The function only raises for *non-budget* errors
     (schema mismatch, cancellation, ...).
 
     >>> from repro.fields import toy_schema
@@ -137,12 +136,12 @@ def compare_with_fallback(
     >>> compare_with_fallback(fw, fw).proves_equivalence()
     True
     """
-    from repro.fdd.comparison import compare_firewalls
+    from repro.fdd.fast import compare_fast
 
     if guard is None:
         guard = GuardContext(budget if budget is not None else Budget.unlimited())
     try:
-        discrepancies = compare_firewalls(fw_a, fw_b, guard=guard)
+        discrepancies = compare_fast(fw_a, fw_b, guard=guard).discrepancies(guard=guard)
     except BudgetExceededError:
         report = approximate_compare(fw_a, fw_b, samples=samples, seed=seed)
         # Replace the sampler's (empty) outcome with the exact attempt's,

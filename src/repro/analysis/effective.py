@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fdd.construction import append_rule, build_decision_path
 from repro.fdd.fdd import FDD
-from repro.fdd.node import Node, TerminalNode, iter_nodes
+from repro.fdd.node import TerminalNode, iter_nodes
 from repro.fdd.store import NodeStore
 from repro.guard import GuardContext
 from repro.intervals import IntervalSet
@@ -75,13 +74,12 @@ class EffectiveAnalysis:
     #: The decisions the policy actually assigns to at least one packet.
     decisions_taken: frozenset[Decision]
     #: The complete policy's FDD, a free by-product of the incremental
-    #: construction (store engine: the final append root *is* the
-    #: canonical reduced ordered FDD).  ``None`` under the reference
-    #: engine, whose mutable tree is not reduced.
-    fdd: FDD | None = None
-    #: The :class:`~repro.fdd.store.NodeStore` holding ``fdd`` (store
-    #: engine only) — reusable for further products over the same policy.
-    store: NodeStore | None = None
+    #: construction: the final append root *is* the canonical reduced
+    #: ordered FDD.
+    fdd: FDD
+    #: The :class:`~repro.fdd.store.NodeStore` holding ``fdd`` —
+    #: reusable for further products over the same policy.
+    store: NodeStore
 
     def dead_indices(self) -> list[int]:
         """Indices of rules no packet can ever first-match."""
@@ -151,20 +149,23 @@ def effective_rules(
     decomposition of their predicates.  ``guard`` bounds the construction
     exactly as in :func:`repro.fdd.construct_fdd`.
 
-    With ``engine="fast"`` (default) the partial FDD lives in a
-    :class:`~repro.fdd.store.NodeStore` and appending is *functional*:
-    interning makes structural equality identity, so a rule is dead iff
-    :meth:`NodeStore.append <repro.fdd.store.NodeStore.append>` returns
-    the root unchanged (``new_root is root``) — no path counting needed,
-    and shared subtrees are appended to once instead of once per path.
-    ``engine="reference"`` keeps the paper-literal mutable-tree append;
-    both report identical facts (cross-validated in the test suite).
+    The partial FDD lives in a :class:`~repro.fdd.store.NodeStore` and
+    appending is *functional*: interning makes structural equality
+    identity, so a rule is dead iff :meth:`NodeStore.append
+    <repro.fdd.store.NodeStore.append>` returns the root unchanged
+    (``new_root is root``) — no path counting needed, and shared
+    subtrees are appended to once instead of once per path.  The tests
+    cross-validate the facts against the paper-literal mutable-tree
+    append.
 
-    ``store`` (store engine only) supplies the :class:`NodeStore` the
-    partial diagrams are interned in; callers that run further products
-    over the same policy — the lint engine, the audit pipeline — pass
-    their own store so the final diagram (returned on the analysis as
-    ``fdd``) shares labels and memo tables with that later work.
+    ``store`` supplies the :class:`NodeStore` the partial diagrams are
+    interned in; callers that run further products over the same policy
+    — the lint engine, the audit pipeline — pass their own store so the
+    final diagram (returned on the analysis as ``fdd``) shares labels and
+    memo tables with that later work.
+
+    ``engine`` accepts only ``"fast"``: it remains so callers written
+    against the former two-engine signature keep working.
 
     >>> from repro.fields import toy_schema
     >>> from repro.policy import Firewall, Rule, ACCEPT, DISCARD
@@ -179,37 +180,22 @@ def effective_rules(
     >>> analysis.rules[2].conflicting
     (0, 1)
     """
+    if engine != "fast":
+        raise ValueError(f"unknown engine {engine!r}; only 'fast' remains")
     rules = firewall.rules
     first = rules[0]
     effective = [True]  # the first rule always first-matches its predicate
-    final_fdd: FDD | None = None
-    final_store: NodeStore | None = None
-    if engine == "reference":
-        root: Node = build_decision_path(
-            firewall.schema, first.predicate.sets, first.decision, 0
-        )
-        fdd = FDD(firewall.schema, root)
-        for rule in rules[1:]:
-            if guard is not None:
-                guard.checkpoint("effective.rule")
-            effective.append(append_rule(fdd, rule, guard=guard))
-        root = fdd.root
-    else:
-        store = store if store is not None else NodeStore()
-        root = store.chain(
-            tuple(store.intern_set(s) for s in first.predicate.sets),
-            first.decision,
-        )
-        for rule in rules[1:]:
-            if guard is not None:
-                guard.checkpoint("effective.rule")
-            new_root = store.append(
-                root, rule.predicate.sets, rule.decision, guard=guard
-            )
-            effective.append(new_root is not root)
-            root = new_root
-        final_fdd = FDD(firewall.schema, root)
-        final_store = store
+    store = store if store is not None else NodeStore()
+    root = store.chain(
+        tuple(store.intern_set(s) for s in first.predicate.sets),
+        first.decision,
+    )
+    for rule in rules[1:]:
+        if guard is not None:
+            guard.checkpoint("effective.rule")
+        new_root = store.append(root, rule.predicate.sets, rule.decision, guard=guard)
+        effective.append(new_root is not root)
+        root = new_root
 
     facts: list[EffectiveRule] = []
     for index, is_effective in enumerate(effective):
@@ -244,6 +230,6 @@ def effective_rules(
         firewall=firewall,
         rules=tuple(facts),
         decisions_taken=taken,
-        fdd=final_fdd,
-        store=final_store,
+        fdd=FDD(firewall.schema, root),
+        store=store,
     )

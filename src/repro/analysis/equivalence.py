@@ -5,17 +5,15 @@ to decisions (Section 3.1, ``f1 == f2``).  Equivalence reduces to the
 comparison returning no discrepancies — the completeness of the three
 algorithms makes this an exact decision procedure, not a sampler.
 
-The default engine is the hash-consed difference diagram
+Both run on the hash-consed difference diagram
 (:func:`repro.fdd.fast.compare_fast`): equivalence is a short-circuiting
 reachability test on it, and the disputed-packet count a weighted model
-count — no cell enumeration.  ``engine="reference"`` routes through the
-paper-literal construct/shape/compare pipeline instead; both engines are
-cross-validated on the synthesized corpus.
+count — no cell enumeration.  The tests cross-validate both against the
+paper-literal construct/shape/compare pipeline on the synthesized corpus.
 """
 
 from __future__ import annotations
 
-from repro.fdd.comparison import compare_firewalls
 from repro.fdd.fast import compare_fast
 from repro.guard import GuardContext
 from repro.policy.firewall import Firewall
@@ -28,7 +26,6 @@ def equivalent(
     fw_b: Firewall,
     *,
     guard: GuardContext | None = None,
-    engine: str = "fast",
 ) -> bool:
     """True iff the two firewalls decide every packet identically.
 
@@ -46,8 +43,6 @@ def equivalent(
     >>> equivalent(fw1, fw2)
     True
     """
-    if engine == "reference":
-        return not compare_firewalls(fw_a, fw_b, guard=guard)
     return not compare_fast(fw_a, fw_b, guard=guard).has_discrepancy()
 
 
@@ -56,16 +51,9 @@ def disputed_packet_count(
     fw_b: Firewall,
     *,
     guard: GuardContext | None = None,
-    engine: str = "fast",
 ) -> int:
     """Number of packets on which the two firewalls disagree.
 
-    Exact: a weighted model count over the difference diagram (default),
-    or the summed sizes of the (disjoint) discrepancy regions produced by
-    the reference comparison algorithm (``engine="reference"``).
+    Exact: a weighted model count over the difference diagram.
     """
-    if engine == "reference":
-        return sum(
-            disc.size() for disc in compare_firewalls(fw_a, fw_b, guard=guard)
-        )
     return compare_fast(fw_a, fw_b, guard=guard).disputed_packet_count()

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from repro.analysis.aggregate import aggregate_discrepancies
 from repro.analysis.discrepancy import Discrepancy, format_discrepancy_table
-from repro.fdd.comparison import compare_firewalls
 from repro.fdd.fast import compare_fast
 from repro.policy.firewall import Firewall
 
@@ -121,16 +120,15 @@ def analyze_change(
     aggregate: bool = True,
     guard=None,
     jobs: int | None = None,
-    engine: str = "fast",
 ) -> ChangeImpactReport:
     """Compute the impact of changing ``before`` into ``after``.
 
     The comparison runs on the hash-consed difference diagram
-    (:func:`repro.fdd.fast.compare_fast`) by default; ``jobs > 1`` shards
-    it across worker processes via :func:`repro.parallel.compare_parallel`
-    (identical cells, merged), and ``engine="reference"`` routes through
-    the paper-literal construct/shape/compare pipeline instead.  All
-    three paths produce the same report (cross-validated in the tests).
+    (:func:`repro.fdd.fast.compare_fast`); ``jobs > 1`` shards it across
+    worker processes via :func:`repro.parallel.compare_parallel`
+    (identical cells, merged).  ``aggregate=False`` keeps the raw cells.
+    The tests cross-validate the report against the paper-literal
+    construct/shape/compare pipeline.
 
     >>> from repro.fields import toy_schema
     >>> from repro.policy import Firewall, Rule, ACCEPT, DISCARD
@@ -142,9 +140,7 @@ def analyze_change(
     (False, 1)
     """
     degradations: list[dict] = []
-    if engine == "reference":
-        raw = compare_firewalls(before, after, guard=guard)
-    elif jobs is not None and jobs > 1:
+    if jobs is not None and jobs > 1:
         from repro.parallel import compare_parallel
 
         par = compare_parallel(

@@ -8,8 +8,9 @@ semantics of the firewall."  Two complementary detectors:
   rules above them already cover their whole predicate.  Detected
   symbolically with box subtraction (cheap, sound, not complete).
 * :func:`find_redundant_rules` / :func:`remove_redundant_rules` — the
-  complete semantic criterion, decided exactly by running the paper's own
-  comparison pipeline on the firewall with and without the candidate rule.
+  complete semantic criterion, decided exactly by building the firewall
+  with and without the candidate rule in one hash-consed
+  :class:`~repro.fdd.store.NodeStore` and comparing the two roots.
 
 ``remove_redundant_rules`` applies the complete criterion greedily from
 the top of the policy, re-checking against the current (already slimmed)
@@ -21,13 +22,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exceptions import NotComprehensiveError
-from repro.analysis.equivalence import equivalent
 from repro.guard import GuardContext
 from repro.intervals import IntervalSet
 from repro.policy.firewall import Firewall
 
 if TYPE_CHECKING:
     from repro.fdd.fdd import FDD
+    from repro.fdd.node import Node
     from repro.fdd.store import NodeStore
 
 __all__ = [
@@ -82,6 +83,30 @@ def _subtract_box(
     return out
 
 
+def _without_if_redundant(
+    firewall: Firewall,
+    index: int,
+    root: "Node",
+    store: "NodeStore",
+    guard: GuardContext | None,
+) -> Firewall | None:
+    """``firewall`` without rule ``index`` if that keeps its semantics.
+
+    ``root`` is the policy's diagram in ``store``.  The candidate is built
+    in the same store, which interns each canonical reduced diagram
+    exactly once, so it is equivalent iff its root *is* ``root``.
+    """
+    if guard is not None:
+        guard.checkpoint("redundancy.candidate")
+    try:
+        candidate = firewall.remove(index)
+    except NotComprehensiveError:
+        return None
+    if store.construct(candidate, guard=guard).root is root:
+        return candidate
+    return None
+
+
 def find_redundant_rules(
     firewall: Firewall,
     *,
@@ -96,39 +121,31 @@ def find_redundant_rules(
     individually-redundant rules may not both be removable; use
     :func:`remove_redundant_rules` to actually slim a policy.
 
-    ``guard`` bounds the underlying comparison pipeline across *all*
-    candidate removals (one shared budget, per the guard's accumulation
-    semantics), with a checkpoint before each candidate.
+    ``guard`` bounds the work across *all* candidate removals (one shared
+    budget, per the guard's accumulation semantics), with a checkpoint
+    before each candidate.
 
     The original policy's reduced FDD is built **once** (or adopted from
     ``fdd``/``store``, e.g. the lint engine's shared diagram); each
-    candidate removal then adds only its own construction plus a memoized
-    product walk against the prebuilt diagram, all in one
-    :class:`~repro.fdd.store.NodeStore` so repeated subtrees across
-    candidates intern to the same nodes.
+    candidate removal then costs only its own construction in the same
+    :class:`~repro.fdd.store.NodeStore`, where the rules before the
+    removed one hit the append memo.
     """
-    from repro.fdd.fast import build_difference
     from repro.fdd.store import NodeStore
 
+    if len(firewall) == 1:
+        return []
     if store is None:
         store = NodeStore()
     if fdd is None:
-        fdd = store.construct(firewall, guard=guard)
-    redundant: list[int] = []
-    for index in range(len(firewall)):
-        if len(firewall) == 1:
-            break
-        if guard is not None:
-            guard.checkpoint("redundancy.candidate")
-        try:
-            candidate = firewall.remove(index)
-        except NotComprehensiveError:
-            continue
-        candidate_fdd = store.construct(candidate, guard=guard)
-        difference = build_difference(fdd, candidate_fdd, guard=guard, store=store)
-        if not difference.has_discrepancy():
-            redundant.append(index)
-    return redundant
+        root = store.construct(firewall, guard=guard).root
+    else:
+        root = store.intern(fdd.root)
+    return [
+        index
+        for index in range(len(firewall))
+        if _without_if_redundant(firewall, index, root, store, guard) is not None
+    ]
 
 
 def remove_redundant_rules(
@@ -137,7 +154,8 @@ def remove_redundant_rules(
     """Greedily drop redundant rules, top-down, until none remain.
 
     Preserves semantics exactly (each removal is verified with the
-    complete comparison pipeline) and keeps the policy comprehensive.
+    complete criterion of :func:`find_redundant_rules`) and keeps the
+    policy comprehensive.
 
     >>> from repro.fields import toy_schema
     >>> from repro.policy import Firewall, Rule, ACCEPT, DISCARD
@@ -148,6 +166,12 @@ def remove_redundant_rules(
     >>> len(remove_redundant_rules(fw))
     2
     """
+    from repro.fdd.store import NodeStore
+
+    store = NodeStore()
+    # Every accepted removal keeps the semantics, so this root stays the
+    # diagram of ``current`` throughout.
+    root = store.construct(firewall, guard=guard).root
     current = firewall
     changed = True
     while changed:
@@ -156,17 +180,11 @@ def remove_redundant_rules(
         changed = False
         index = 0
         while index < len(current) and len(current) > 1:
-            if guard is not None:
-                guard.checkpoint("redundancy.candidate")
-            try:
-                candidate = current.remove(index)
-            except NotComprehensiveError:
+            candidate = _without_if_redundant(current, index, root, store, guard)
+            if candidate is None:
                 index += 1
-                continue
-            if equivalent(current, candidate, guard=guard):
+            else:
+                # Stay at the same index: the next rule shifted into it.
                 current = candidate
                 changed = True
-                # Stay at the same index: the next rule shifted into it.
-            else:
-                index += 1
     return current

@@ -118,9 +118,9 @@ def resolve_checkset(spec: str | None = None) -> CheckSet:
     ``lint`` stage optionally restricts its checks with ``+``-joined
     codes or names::
 
-        lint,compare,impact        # everything (the default)
-        lint                       # lint only, full suite
-        lint=FW001+FW002,compare   # two checks plus baseline comparison
+        lint,simplify,compare,impact  # everything (the default)
+        lint                          # lint only, full suite
+        lint=FW001+FW002,compare      # two checks plus baseline comparison
 
     Unknown stages and unknown check codes raise
     :class:`AuditCheckSetError` — a typo must not silently shrink an

@@ -44,26 +44,29 @@ Exit codes:
 * ``5`` — correct but degraded: the result is exact and otherwise
   exit-0, but at least one parallel shard exhausted its retries and was
   re-executed serially (``--jobs`` runs only; see ``repro chaos`` and
-  ``docs/robustness.md``).
+  ``docs/robustness.md``);
+* ``141`` — stdout was closed by its reader (``... | head -1``); the
+  rest of the output is dropped without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
 from repro.analysis import (
+    ChangeImpactReport,
     aggregate_discrepancies,
     analyze_change,
-    compare_with_fallback,
+    approximate_compare,
     find_anomalies,
     format_discrepancy_table,
     remove_redundant_rules,
     run_query,
 )
 from repro.exceptions import BudgetExceededError, ParseError, ReproError
-from repro.fdd import compare_firewalls
 from repro.guard import Budget, GuardContext
 from repro.policy import (
     dumps,
@@ -84,6 +87,7 @@ __all__ = [
     "EXIT_BUDGET_EXCEEDED",
     "EXIT_APPROXIMATE",
     "EXIT_DEGRADED",
+    "EXIT_BROKEN_PIPE",
 ]
 
 #: Exit codes (documented in docs/robustness.md).
@@ -93,6 +97,8 @@ EXIT_ERROR = 2
 EXIT_BUDGET_EXCEEDED = 3
 EXIT_APPROXIMATE = 4
 EXIT_DEGRADED = 5
+#: Stdout closed by its reader; what a shell reports for a SIGPIPE kill.
+EXIT_BROKEN_PIPE = 141
 
 
 # The registered dialect names (stable: registration happens when
@@ -127,48 +133,58 @@ def _add_guard_options(sub, *, fallback: bool = True) -> None:
         )
 
 
+def _jobs(text: str) -> int:
+    """argparse type of every ``--jobs`` option: a positive worker count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _add_jobs_option(sub) -> None:
     """``--jobs N``: shard the comparison across worker processes."""
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=1,
         metavar="N",
         help=(
             "shard the comparison across N worker processes"
-            " (sharded fast engine; 1 = serial reference pipeline)"
+            " (1 = serial, in this process)"
         ),
     )
 
 
-def _parallel_discrepancies(fw_a, fw_b, args, budget):
-    """The sharded engine behind ``--jobs``, with the fallback interplay.
+def _compare_pair(fw_a, fw_b, args, *, aggregate: bool = False):
+    """The one comparison behind ``compare``, ``equivalent`` and ``impact``.
 
-    Returns ``(discrepancies, approximate, coverage, degradations)``.  A
-    budget trip either propagates (exit code 3 via the central handler)
-    or — under ``--approx-fallback`` — degrades to the sampling
-    comparator exactly as the serial path does.  ``degradations`` lists
-    shards the supervisor re-ran serially after their worker dispatches
-    failed (the result is still exact; exit code 5 when otherwise 0).
+    Runs :func:`~repro.analysis.analyze_change`, which picks the serial
+    store engine or the sharded one from ``--jobs``.  Returns ``(report,
+    coverage)``: ``coverage`` is ``None`` for an exact report, else the
+    sampled fraction of the packet universe.  A budget trip propagates
+    (exit code 3 via :func:`main`) unless ``--approx-fallback`` asks for
+    the sampling comparator instead.  Degraded shards (the result is
+    still exact) are reported on stderr here.
     """
-    from repro.parallel import compare_parallel
-
+    budget = _budget_from_args(args)
+    guard = GuardContext(budget) if budget is not None else None
     try:
-        par = compare_parallel(
-            fw_a,
-            fw_b,
-            jobs=args.jobs,
-            budget=budget,
-            enumerate_discrepancies=True,
+        report = analyze_change(
+            fw_a, fw_b, aggregate=aggregate, guard=guard, jobs=args.jobs
         )
     except BudgetExceededError:
         if not getattr(args, "approx_fallback", False):
             raise
-        from repro.analysis.approximate import approximate_compare
-
-        report = approximate_compare(fw_a, fw_b)
-        return list(report.discrepancies), True, report.coverage, []
-    return list(par.discrepancies), False, 1.0, par.degradation_report()
+        sampled = approximate_compare(fw_a, fw_b)
+        discs = list(sampled.discrepancies)
+        if aggregate:
+            discs = aggregate_discrepancies(discs)
+        return ChangeImpactReport(fw_a, fw_b, discs), sampled.coverage
+    _warn_degraded(report.degradations)
+    return report, None
 
 
 def _warn_degraded(degradations) -> None:
@@ -248,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=None,
         metavar="N",
         help="classify the batch across N worker processes",
@@ -278,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=None,
         metavar="N",
         help="also measure the batch fan-out across N worker processes",
@@ -502,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=1,
         help="supervised worker processes for uncached policies (default 1)",
     )
@@ -534,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=2,
         metavar="N",
         help="worker processes per scenario run (default: 2)",
@@ -607,27 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_compare(args) -> int:
     fw_a = load(args.policy_a)
     fw_b = load(args.policy_b)
-    budget = _budget_from_args(args)
-    approximate = False
-    coverage = 1.0
-    degradations = []
-    if args.jobs > 1:
-        discs, approximate, coverage, degradations = _parallel_discrepancies(
-            fw_a, fw_b, args, budget
-        )
-        _warn_degraded(degradations)
-    elif args.approx_fallback:
-        report = compare_with_fallback(fw_a, fw_b, budget=budget)
-        discs = list(report.discrepancies)
-        approximate = report.approximate
-        coverage = report.coverage
-    else:
-        guard = GuardContext(budget) if budget is not None else None
-        discs = compare_firewalls(fw_a, fw_b, guard=guard)
-    if not args.raw:
-        discs = aggregate_discrepancies(discs)
+    report, coverage = _compare_pair(fw_a, fw_b, args, aggregate=not args.raw)
+    discs = report.discrepancies
     if not discs:
-        if approximate:
+        if coverage is not None:
             print(
                 "no disagreement found by sampling"
                 f" (approximate; coverage ~{coverage:.2e});"
@@ -635,9 +634,9 @@ def _cmd_compare(args) -> int:
             )
             return EXIT_APPROXIMATE
         print("the two policies are semantically equivalent")
-        return EXIT_DEGRADED if degradations else EXIT_OK
+        return EXIT_DEGRADED if report.degradations else EXIT_OK
     title = f"{len(discs)} functional discrepancy region(s)"
-    if approximate:
+    if coverage is not None:
         title += f" (approximate: sampled, coverage ~{coverage:.2e})"
     print(
         format_discrepancy_table(
@@ -647,16 +646,11 @@ def _cmd_compare(args) -> int:
             title=title,
         )
     )
-    return EXIT_APPROXIMATE if approximate else EXIT_DISCREPANCIES
+    return EXIT_APPROXIMATE if coverage is not None else EXIT_DISCREPANCIES
 
 
 def _cmd_impact(args) -> int:
-    budget = _budget_from_args(args)
-    guard = GuardContext(budget) if budget is not None else None
-    report = analyze_change(
-        load(args.before), load(args.after), guard=guard, jobs=args.jobs
-    )
-    _warn_degraded(report.degradations)
+    report, _ = _compare_pair(load(args.before), load(args.after), args, aggregate=True)
     print(report.render())
     if report.is_noop:
         return EXIT_DEGRADED if report.degradations else EXIT_OK
@@ -664,54 +658,25 @@ def _cmd_impact(args) -> int:
 
 
 def _cmd_equivalent(args) -> int:
-    fw_a = load(args.policy_a)
-    fw_b = load(args.policy_b)
-    budget = _budget_from_args(args)
-    degradations = []
-    if args.jobs > 1:
-        discs, approximate, coverage, degradations = _parallel_discrepancies(
-            fw_a, fw_b, args, budget
+    report, coverage = _compare_pair(load(args.policy_a), load(args.policy_b), args)
+    discs = report.discrepancies
+    if coverage is not None:
+        if discs:
+            # A sampled disagreement is a concrete witness packet, so
+            # non-equivalence is proven even though the report is partial.
+            print(f"NOT equivalent: {len(discs)} witness packet(s) found by sampling")
+            return EXIT_DISCREPANCIES
+        print(
+            "no disagreement found by sampling"
+            f" (approximate; coverage ~{coverage:.2e});"
+            " equivalence NOT proven"
         )
-        _warn_degraded(degradations)
-        if approximate:
-            if discs:
-                print(
-                    f"NOT equivalent: {len(discs)} witness"
-                    " packet(s) found by sampling"
-                )
-                return EXIT_DISCREPANCIES
-            print(
-                "no disagreement found by sampling"
-                f" (approximate; coverage ~{coverage:.2e});"
-                " equivalence NOT proven"
-            )
-            return EXIT_APPROXIMATE
-    elif args.approx_fallback:
-        report = compare_with_fallback(fw_a, fw_b, budget=budget)
-        if report.approximate:
-            if report.discrepancies:
-                # A sampled disagreement is a concrete witness packet, so
-                # non-equivalence is proven even though the report is partial.
-                print(
-                    f"NOT equivalent: {len(report.discrepancies)} witness"
-                    " packet(s) found by sampling"
-                )
-                return EXIT_DISCREPANCIES
-            print(
-                "no disagreement found by sampling"
-                f" (approximate; coverage ~{report.coverage:.2e});"
-                " equivalence NOT proven"
-            )
-            return EXIT_APPROXIMATE
-        discs = list(report.discrepancies)
-    else:
-        guard = GuardContext(budget) if budget is not None else None
-        discs = compare_firewalls(fw_a, fw_b, guard=guard)
+        return EXIT_APPROXIMATE
     if discs:
         print(f"NOT equivalent: {len(aggregate_discrepancies(discs))} region(s) differ")
         return EXIT_DISCREPANCIES
     print("equivalent")
-    return EXIT_DEGRADED if degradations else EXIT_OK
+    return EXIT_DEGRADED if report.degradations else EXIT_OK
 
 
 def _cmd_query(args) -> int:
@@ -1268,7 +1233,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``repro compare ... | head -1``): drop
+        # the rest of the output quietly, and point stdout at devnull so
+        # the interpreter's own flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -25,7 +25,7 @@ from repro.fdd.node import Edge, InternalNode, TerminalNode
 from repro.fdd.passes import fold, product_fold
 from repro.fdd.reduce import reduce_fdd
 from repro.fdd.shaping import are_semi_isomorphic, make_semi_isomorphic
-from repro.fdd.simplify import make_simple, simplify
+from repro.fdd.simplify import make_simple
 from repro.fdd.store import NodeStore
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "reduce_fdd",
     "reorder_fdd",
     "semantic_fingerprint",
-    "simplify",
     "to_ascii",
     "to_dot",
 ]

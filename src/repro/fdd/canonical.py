@@ -12,14 +12,14 @@ That yields:
   front of the full comparison, useful when tracking many policy
   versions (e.g. a git history of firewall changes).
 
-Both run on the store engine by default: the output of
+Both run on the store engine: the output of
 :func:`~repro.fdd.fast.construct_fdd_fast` is interned bottom-up in a
 :class:`~repro.fdd.store.NodeStore`, so it *is* the reduced ordered FDD
 — canonicalization is just fast construction, no separate reduction walk.
-``engine="reference"`` keeps the paper-literal tree pipeline
-(``reduce_fdd(construct_fdd(...))``) as an independently-implemented
-cross-check; both engines produce byte-identical fingerprints (the digest
-is a pure function of diagram structure, property-tested).
+The paper-literal tree pipeline (``reduce_fdd(construct_fdd(...))``)
+digested by :func:`fingerprint_canonical` is the independently
+implemented cross-check: the tests assert byte-identical fingerprints
+(the digest is a pure function of diagram structure).
 
 The fingerprint is deterministic across processes (no ``id()``-based
 state leaks into it) — property-tested against the exact equivalence
@@ -30,36 +30,29 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.fdd.construction import construct_fdd
 from repro.fdd.fast import construct_fdd_fast
 from repro.fdd.fdd import FDD
 from repro.fdd.node import InternalNode, Node, TerminalNode
 from repro.fdd.passes import fold
-from repro.fdd.reduce import reduce_fdd
 from repro.policy.firewall import Firewall
 
 __all__ = ["canonical_fdd", "fingerprint_canonical", "semantic_fingerprint"]
 
 
-def canonical_fdd(firewall: Firewall | FDD, *, engine: str = "fast") -> FDD:
+def canonical_fdd(firewall: Firewall | FDD) -> FDD:
     """The reduced ordered FDD of a policy (its canonical diagram).
 
     Canonicity relies on every path testing every field in schema order,
-    which both construction engines guarantee; FDD inputs are therefore
-    normalized through a generate/reconstruct round trip first (they may
-    skip fields or use another order, Section 7.2).
-
-    ``engine="fast"`` (default) builds the diagram hash-consed — interned
-    construction yields the reduced diagram directly.  ``engine=
-    "reference"`` runs the paper-literal tree construction followed by an
-    explicit reduction; both return structurally identical diagrams.
+    which construction guarantees; FDD inputs are therefore normalized
+    through a generate/reconstruct round trip first (they may skip
+    fields or use another order, Section 7.2).  The diagram is built
+    hash-consed — interned construction yields the reduced diagram
+    directly.
     """
     if isinstance(firewall, FDD):
         from repro.fdd.generation import generate_firewall
 
         firewall = generate_firewall(firewall, compact=False)
-    if engine == "reference":
-        return reduce_fdd(construct_fdd(firewall))
     return construct_fdd_fast(firewall)
 
 
@@ -90,12 +83,11 @@ def _node_digest(node: Node, memo: dict[int, str]) -> str:
     return fold(node, terminal=terminal_digest, internal=internal_digest, memo=memo)
 
 
-def semantic_fingerprint(firewall: Firewall | FDD, *, engine: str = "fast") -> str:
+def semantic_fingerprint(firewall: Firewall | FDD) -> str:
     """A stable hex digest of the policy's semantics.
 
     The digest is a pure function of the canonical diagram's structure,
-    so both engines (``"fast"`` and ``"reference"``) produce identical
-    fingerprints for identical semantics.
+    so identical semantics give identical fingerprints.
 
     >>> from repro.fields import toy_schema
     >>> from repro.policy import Firewall, Rule, ACCEPT, DISCARD
@@ -107,7 +99,7 @@ def semantic_fingerprint(firewall: Firewall | FDD, *, engine: str = "fast") -> s
     >>> semantic_fingerprint(one) == semantic_fingerprint(two)
     True
     """
-    return fingerprint_canonical(canonical_fdd(firewall, engine=engine))
+    return fingerprint_canonical(canonical_fdd(firewall))
 
 
 def fingerprint_canonical(fdd: FDD) -> str:

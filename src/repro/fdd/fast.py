@@ -48,7 +48,6 @@ from repro.fdd.passes import product_fold
 from repro.fdd.store import NodeStore, PAIRWISE_MEMO_LIMIT
 
 __all__ = [
-    "HashConsStore",
     "NodeStore",
     "PAIRWISE_MEMO_LIMIT",
     "construct_fdd_fast",
@@ -56,11 +55,6 @@ __all__ = [
     "build_difference",
     "compare_fast",
 ]
-
-
-#: Backward-compatible name for the extracted store (the hash-consing
-#: machinery now lives in :mod:`repro.fdd.store`).
-HashConsStore = NodeStore
 
 
 def construct_fdd_fast(

@@ -117,5 +117,5 @@ def generate_firewall(
         # pipeline, which lives above this module in the layering.
         from repro.analysis.redundancy import remove_redundant_rules
 
-        firewall = remove_redundant_rules(firewall)
+        firewall = remove_redundant_rules(firewall, guard=guard)
     return firewall

@@ -18,7 +18,7 @@ from repro.fdd.fdd import FDD
 from repro.fdd.node import Edge, InternalNode, Node, TerminalNode
 from repro.intervals import IntervalSet
 
-__all__ = ["simplify", "make_simple"]
+__all__ = ["make_simple"]
 
 
 def _simple_copy(node: Node) -> Node:
@@ -57,8 +57,3 @@ def make_simple(fdd: FDD) -> FDD:
     True
     """
     return FDD(fdd.schema, _simple_copy(fdd.root))
-
-
-def simplify(fdd: FDD) -> FDD:
-    """Alias of :func:`make_simple` (the paper's "FDD simplifying")."""
-    return make_simple(fdd)

@@ -142,7 +142,7 @@ class LintContext:
         both pays for one construction total.
         """
         if self._fdd is None:
-            if self._effective is not None and self._effective.fdd is not None:
+            if self._effective is not None:
                 self._fdd = self._effective.fdd
             else:
                 self._fdd = self.store.construct(self.firewall, guard=self.guard)

@@ -84,13 +84,13 @@ from repro.analysis.discrepancy import Discrepancy
 from repro.exceptions import SchemaError
 from repro.fdd.fast import (
     DifferenceFDD,
-    HashConsStore,
     _PairNode,
     build_difference,
     construct_fdd_fast,
 )
 from repro.fdd.fdd import FDD
 from repro.fdd.node import InternalNode, Node
+from repro.fdd.store import NodeStore
 from repro.fields import FieldSchema
 from repro.guard import Budget, FaultInjector, GuardContext
 from repro.intervals import IntervalSet
@@ -285,7 +285,7 @@ def _execute_piece(task: _PieceTask) -> _PieceResult:
             fault=task.fault,
         )
     start = time.perf_counter()
-    store = HashConsStore()
+    store = NodeStore()
     fdd = construct_fdd_fast(task.firewall, store, guard=guard)
     return _PieceResult(
         piece_index=task.piece_index,
@@ -413,7 +413,7 @@ def _construct_pieces(
     phase_ms["construct_wall_ms"] = (time.perf_counter() - start) * 1000.0
     phase_ms["construct_ms_sum"] = sum(piece_ms)
     phase_ms["construct_ms_max"] = max(piece_ms, default=0.0)
-    store = HashConsStore()
+    store = NodeStore()
     by_piece: dict[int, dict[str, Node]] = {}
     for result in results:
         by_piece.setdefault(result.piece_index, {})[result.side] = store.intern(
@@ -539,7 +539,7 @@ def _execute_snapshot_shard(task: _SnapshotShardTask) -> ShardResult:
     start = time.perf_counter()
     schema, piece_roots = _snapshot_payload(task.snapshot_id)
     raw_a, raw_b = piece_roots[task.piece_index]
-    store = HashConsStore()
+    store = NodeStore()
     root_a = store.intern(raw_a)
     root_b = store.intern(raw_b)
     diff = build_difference(
@@ -580,7 +580,7 @@ def _rules_overlapping(firewall: Firewall, shard: IntervalSet) -> int:
     )
 
 
-def _restrict_root(root, shard: IntervalSet, store: HashConsStore):
+def _restrict_root(root, shard: IntervalSet, store: NodeStore):
     """The full difference input restricted to a field-0 shard, in-store.
 
     Slices the root's field-0 edges to the shard (dropping edges that
@@ -624,7 +624,7 @@ def _execute_shards_shared(
         parent = GuardContext(
             budget if budget is not None else Budget.unlimited(), fault=fault
         )
-    store = HashConsStore()
+    store = NodeStore()
     fdd_a = construct_fdd_fast(fw_a, store, guard=parent)
     fdd_b = construct_fdd_fast(fw_b, store, guard=parent)
     construction = parent.progress() if parent is not None else {}
@@ -708,7 +708,7 @@ def _execute_pair(task: _PairTask) -> PairComparison:
             fault=task.fault,
         )
     start = time.perf_counter()
-    store = HashConsStore()
+    store = NodeStore()
     fdd_a = construct_fdd_fast(task.fw_a, store, guard=guard)
     fdd_b = construct_fdd_fast(task.fw_b, store, guard=guard)
     diff = build_difference(fdd_a, fdd_b, guard=guard, store=store)
@@ -767,7 +767,7 @@ def _execute_snapshot_pair(task: _SnapshotPairTask) -> PairComparison:
     start = time.perf_counter()
     schema, raw_a = _snapshot_payload(task.snapshot_id_a)
     _schema_b, raw_b = _snapshot_payload(task.snapshot_id_b)
-    store = HashConsStore()
+    store = NodeStore()
     fdd_a = FDD(schema, store.intern(raw_a))
     fdd_b = FDD(schema, store.intern(raw_b))
     diff = build_difference(fdd_a, fdd_b, guard=guard, store=store)
@@ -1270,7 +1270,7 @@ def compare_many(
     snapshot_ids: list[str] = []
     try:
         for fw in firewalls:
-            store = HashConsStore()
+            store = NodeStore()
             root = construct_fdd_fast(fw, store, guard=parent).root
             snapshot_id = pool.publish_snapshot(
                 None, payload=pickle.dumps((schema, root))

@@ -6,7 +6,7 @@ re-emits a *provably equivalent* rule list that is never larger — and
 usually smaller — than the input:
 
 1. **Effective-rule analysis** (:func:`repro.analysis.effective
-   .effective_rules`, store engine): drop every rule no packet can
+   .effective_rules`): drop every rule no packet can
    first-match.  The final append root of this pass *is* the policy's
    canonical reduced ordered FDD — the semantic ground truth.
 2. **Complete redundancy removal** (:func:`repro.analysis.redundancy
@@ -101,9 +101,7 @@ def simplify_firewall(
     >>> result.rules_before, result.rules_after, result.removed_dead
     (3, 2, 1)
     """
-    analysis = effective_rules(firewall, guard=guard, engine="fast")
-    if analysis.fdd is None or analysis.store is None:
-        raise SimplifyError("effective-rule analysis returned no diagram")
+    analysis = effective_rules(firewall, guard=guard)
     store = analysis.store
     baseline = fingerprint_canonical(analysis.fdd)
 

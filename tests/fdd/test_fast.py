@@ -3,12 +3,8 @@
 from hypothesis import given, settings
 
 from repro.fdd import compare_firewalls, construct_fdd
-from repro.fdd.fast import (
-    HashConsStore,
-    build_difference,
-    compare_fast,
-    construct_fdd_fast,
-)
+from repro.fdd.fast import build_difference, compare_fast, construct_fdd_fast
+from repro.fdd.store import NodeStore
 from repro.fields import enumerate_universe, toy_schema
 from repro.intervals import IntervalSet
 from repro.policy import ACCEPT, DISCARD, Firewall, Rule
@@ -25,19 +21,19 @@ def r(decision, **conjuncts):
 
 class TestHashConsStore:
     def test_terminals_interned(self):
-        store = HashConsStore()
+        store = NodeStore()
         assert store.terminal(ACCEPT) is store.terminal(ACCEPT)
         assert store.terminal(ACCEPT) is not store.terminal(DISCARD)
 
     def test_internals_interned(self):
-        store = HashConsStore()
+        store = NodeStore()
         t = store.terminal(ACCEPT)
         a = store.internal(0, [(IntervalSet.span(0, 9), t)])
         b = store.internal(0, [(IntervalSet.span(0, 9), t)])
         assert a is b
 
     def test_parallel_edges_merged(self):
-        store = HashConsStore()
+        store = NodeStore()
         t = store.terminal(ACCEPT)
         node = store.internal(
             0, [(IntervalSet.span(0, 4), t), (IntervalSet.span(5, 9), t)]

@@ -11,6 +11,7 @@ pre-fault values, and they still produce the same comparison output).
 import pytest
 
 from repro.analysis.approximate import approximate_compare
+from repro.analysis.redundancy import remove_redundant_rules
 from repro.bdd import compare_with_bdd
 from repro.exceptions import FaultInjectedError
 from repro.fdd import (
@@ -107,6 +108,7 @@ SITE_DRIVERS = {
     "generation.visit": lambda fa, fb, guard: generate_firewall(
         construct_fdd(fa), guard=guard
     ),
+    "redundancy.candidate": lambda fa, fb, guard: remove_redundant_rules(fa, guard=guard),
     "bdd.encode": lambda fa, fb, guard: compare_with_bdd(fa, fb, guard=guard),
     "bdd.xor": lambda fa, fb, guard: compare_with_bdd(fa, fb, guard=guard),
     "bdd.cubes": lambda fa, fb, guard: compare_with_bdd(fa, fb, guard=guard),

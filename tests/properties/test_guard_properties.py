@@ -28,7 +28,7 @@ from repro.fields import toy_schema
 from repro.guard import Budget, FaultInjector, GuardContext
 from repro.policy import dumps
 
-from tests.conftest import firewalls
+from tests.conftest import brute_force_diff, covered_packets, firewalls
 
 SCHEMA = toy_schema(9, 9)
 
@@ -86,7 +86,11 @@ class TestGuardTransparency:
     def test_fallback_within_budget_equals_exact(self, fw_a, fw_b):
         report = compare_with_fallback(fw_a, fw_b, budget=GENEROUS)
         assert not report.approximate
-        assert list(report.discrepancies) == compare_firewalls(fw_a, fw_b)
+        assert list(report.discrepancies) == compare_fast(fw_a, fw_b).discrepancies()
+        # Same packets as the reference pipeline (which cuts other cells).
+        assert covered_packets(report.discrepancies) == covered_packets(
+            compare_firewalls(fw_a, fw_b)
+        ) == brute_force_diff(fw_a, fw_b)
 
 
 class TestCleanUnwinding:

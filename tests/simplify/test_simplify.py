@@ -96,6 +96,41 @@ class TestSimplifyFirewall:
                 synth(11, rules=18), guard=GuardContext(Budget(max_nodes=3))
             )
 
+    def test_budget_tripping_in_compaction_sweep_raises(self, monkeypatch):
+        """The generation phase's compaction sweep runs under the guard.
+
+        The budget is the node spend of a run whose compaction sweep is
+        unguarded, so only a guarded sweep can exceed it.
+        """
+        from repro.analysis import redundancy
+        from repro.exceptions import BudgetExceededError
+
+        fw = synth(11, rules=18)
+        sweep = redundancy.remove_redundant_rules
+        guarded, outside = GuardContext(), GuardContext()
+        simplify_firewall(fw, guard=guarded)
+        # Generation imports the sweep from its module at call time.
+        monkeypatch.setattr(
+            redundancy, "remove_redundant_rules", lambda firewall, guard=None: sweep(firewall)
+        )
+        simplify_firewall(fw, guard=outside)
+        assert guarded.nodes_expanded > outside.nodes_expanded
+
+        tripped = []
+
+        def spy(firewall, guard=None):
+            try:
+                return sweep(firewall, guard=guard)
+            except BudgetExceededError:
+                tripped.append(len(firewall))
+                raise
+
+        monkeypatch.setattr(redundancy, "remove_redundant_rules", spy)
+        budget = Budget(max_nodes=outside.nodes_expanded)
+        with pytest.raises(BudgetExceededError):
+            simplify_firewall(fw, guard=GuardContext(budget))
+        assert tripped, "the budget must trip inside the compaction sweep"
+
 
 class TestGoldenSimplification:
     @pytest.mark.parametrize("dialect", sorted(GOLDEN))

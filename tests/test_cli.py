@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.policy import dump
 from repro.synth import team_a_firewall, team_b_firewall
@@ -43,6 +49,23 @@ class TestCompare:
         assert code == 0
         assert "equivalent" in capsys.readouterr().out
 
+    def test_serial_regions_match_impact_and_jobs(self, tmp_path, capsys):
+        from repro.synth import generate_firewall_pair
+
+        paths = [str(tmp_path / "a.fw"), str(tmp_path / "b.fw")]
+        for firewall, path in zip(generate_firewall_pair(30, seed=3), paths):
+            dump(firewall, path, schema_key="standard")
+        heads = []
+        for argv in (["compare"], ["compare", "--jobs", "2"], ["impact"]):
+            assert main([*argv, *paths]) == 1
+            heads.append(capsys.readouterr().out.splitlines()[:2])
+        counts = {
+            heads[0][0].split()[0],
+            heads[1][0].split()[0],
+            heads[2][1].split()[0],
+        }
+        assert len(counts) == 1, heads
+
 
 class TestImpact:
     def test_reports_and_exits_1(self, policies, capsys):
@@ -68,6 +91,22 @@ class TestEquivalent:
 
 class TestJobs:
     """``--jobs N`` routes through the sharded parallel engine."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        ["compare", "impact", "equivalent", "query", "serve-bench", "audit", "chaos"],
+    )
+    def test_non_positive_jobs_exits_2(self, command, jobs, policies, capsys):
+        argv = {
+            "query": ["query", policies[0], "--batch", "-"],
+            "serve-bench": ["serve-bench", policies[0]],
+            "chaos": ["chaos"],
+        }.get(command, [command, *policies])
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
 
     def test_compare_jobs_matches_serial_regions(self, policies, capsys):
         # Region *carving* may differ at shard boundaries (aggregation
@@ -421,6 +460,28 @@ class TestSimplify:
 
 
 class TestErrors:
+    def test_closed_stdout_pipe_exits_quietly(self, tmp_path):
+        from repro.synth import generate_firewall_pair
+
+        paths = [tmp_path / "a.fw", tmp_path / "b.fw"]
+        for firewall, path in zip(generate_firewall_pair(60, seed=5), paths):
+            dump(firewall, path, schema_key="standard")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        # The raw cells (~0.5 MB) overflow the pipe buffer, so the
+        # command is still writing when the reader goes away.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "compare", "--raw", *map(str, paths)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert b"discrepancy region(s)" in proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
     def test_missing_file_exits_2(self, capsys):
         code = main(["show", "/nonexistent/path.fw"])
         assert code == 2
