@@ -9,8 +9,8 @@ no fault fires (see the supervision section of ``docs/performance.md``).
 
 This benchmark measures the supervised engine against the bare pool
 (``supervised=False``) on the Fig. 13 workload at ``jobs=4``, and
-against itself at ``jobs=1`` (which runs inline on both paths — the
-supervisor must never engage), asserting byte-identical summaries and
+against itself at ``jobs=1`` (which runs serially in process on both
+paths — the supervisor must never engage), asserting byte-identical summaries and
 zero degradations.  Timings are best-of-N over calibrated samples; the
 archived report carries the measured numbers.
 """
@@ -72,7 +72,7 @@ def test_bench_supervision_overhead(benchmark, report_saver, json_saver):
     size = 200 if bench_scale() == "paper" else 60
     fw_a, fw_b = generate_firewall_pair(size, seed=13)
     benchmark.pedantic(
-        lambda: compare_parallel(fw_a, fw_b, jobs=4, inline=False),
+        lambda: compare_parallel(fw_a, fw_b, jobs=4),
         rounds=3 if bench_scale() == "paper" else 1,
         iterations=1,
     )

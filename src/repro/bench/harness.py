@@ -211,8 +211,8 @@ class Fig13ParallelRow:
     path (slowest construction piece + snapshot publish + slowest
     shard), i.e. the speedup a machine with >= ``jobs`` idle cores
     would approach.  The ``construct_*``/``publish_ms``/
-    ``shard_wall_ms`` fields break the parallel wall down per phase
-    (zero on inline rows, which have no phases).  ``parity`` certifies
+    ``shard_wall_ms`` fields break the parallel wall down per phase.
+    ``parity`` certifies
     the merged disputed count matched the serial engine's.
     """
 
@@ -231,7 +231,7 @@ class Fig13ParallelRow:
     #: speedup measured with ``effective_cores < jobs`` is structurally
     #: <= 1 and must not be gated (see ``compare_trajectories``).
     effective_cores: int = 1
-    #: Phase breakdown of ``parallel_wall_ms`` (pool path only).
+    #: Phase breakdown of ``parallel_wall_ms``.
     construct_wall_ms: float = 0.0
     construct_ms_sum: float = 0.0
     construct_ms_max: float = 0.0
@@ -245,7 +245,6 @@ def fig13_parallel_experiment(
     seed: int = 13,
     jobs: int = 4,
     config: GeneratorConfig | None = None,
-    inline: bool | None = None,
     start_method: str | None = None,
 ) -> list[Fig13ParallelRow]:
     """Fig. 13's workload through the sharded engine vs the serial one.
@@ -268,17 +267,14 @@ def fig13_parallel_experiment(
         sizes = (200, 500, 1000) if bench_scale() == "paper" else (200, 500)
     rows: list[Fig13ParallelRow] = []
     cores = effective_cores()
-    pool_path = inline is not True and jobs > 1
-    if pool_path:
+    if jobs > 1:
         # Measure the amortized steady state: the pool is persistent and
         # lazily started, so its one-time start cost (and the workers'
         # first-import cost) belongs to the process, not to any single
         # comparison — see docs/performance.md for the amortization model.
         get_pool(start_method).ensure(jobs)
         warm_a, warm_b = generate_firewall_pair(50, seed=seed, config=config)
-        compare_parallel(
-            warm_a, warm_b, jobs=jobs, inline=inline, start_method=start_method
-        )
+        compare_parallel(warm_a, warm_b, jobs=jobs, start_method=start_method)
     for size in sizes:
         fw_a, fw_b = generate_firewall_pair(size, seed=seed, config=config)
         start = time.perf_counter()
@@ -287,28 +283,18 @@ def fig13_parallel_experiment(
         serial_disputed = serial.disputed_packet_count()
 
         start = time.perf_counter()
-        par = compare_parallel(
-            fw_a, fw_b, jobs=jobs, inline=inline, start_method=start_method
-        )
+        par = compare_parallel(fw_a, fw_b, jobs=jobs, start_method=start_method)
         wall_ms = (time.perf_counter() - start) * 1000.0
         shard_ms = [shard.elapsed_ms for shard in par.shards]
         shard_max = max(shard_ms) if shard_ms else 0.0
-        phase = dict(par.phase_ms)
+        phase = par.phase_ms
         # Pipeline critical path: the slowest construction piece, then
         # the publish, then the slowest shard — what an unlimited-core
-        # box is bounded by.  Inline rows have no phases; keep the old
-        # shard-level available-parallelism ratio for them.
-        if phase:
-            critical_denominator = (
-                phase.get("construct_ms_max", 0.0)
-                + phase.get("publish_ms", 0.0)
-                + shard_max
-            )
-            critical = (
-                serial_ms / critical_denominator if critical_denominator else 1.0
-            )
-        else:
-            critical = sum(shard_ms) / shard_max if shard_max else 1.0
+        # box is bounded by.
+        critical_denominator = (
+            phase["construct_ms_max"] + phase["publish_ms"] + shard_max
+        )
+        critical = serial_ms / critical_denominator if critical_denominator else 1.0
         rows.append(
             Fig13ParallelRow(
                 rules_per_firewall=size,
@@ -323,11 +309,11 @@ def fig13_parallel_experiment(
                 disputed_packets=par.disputed_packets,
                 parity=par.disputed_packets == serial_disputed,
                 effective_cores=cores,
-                construct_wall_ms=phase.get("construct_wall_ms", 0.0),
-                construct_ms_sum=phase.get("construct_ms_sum", 0.0),
-                construct_ms_max=phase.get("construct_ms_max", 0.0),
-                publish_ms=phase.get("publish_ms", 0.0),
-                shard_wall_ms=phase.get("shard_wall_ms", 0.0),
+                construct_wall_ms=phase["construct_wall_ms"],
+                construct_ms_sum=phase["construct_ms_sum"],
+                construct_ms_max=phase["construct_ms_max"],
+                publish_ms=phase["publish_ms"],
+                shard_wall_ms=phase["shard_wall_ms"],
             )
         )
     return rows
@@ -684,9 +670,9 @@ def supervision_overhead_experiment(
 
     Configurations:
 
-    * ``jobs1-inline`` — ``jobs=1`` executes inline in the calling
-      process on both paths; the supervisor must never engage, so this
-      row certifies single-process behaviour is unchanged;
+    * ``jobs1-inline`` — ``jobs=1`` runs every task serially in the
+      calling process on both paths; the supervisor must never engage,
+      so this row certifies single-process behaviour is unchanged;
     * ``jobs4-fanout`` — four-way process fan-out, supervised pool vs
       bare pool on identical shard tasks.
     """
@@ -699,17 +685,12 @@ def supervision_overhead_experiment(
     size = 200 if bench_scale() == "paper" else 60
     fw_a, fw_b = generate_firewall_pair(size, seed=seed)
 
-    configurations = [
-        ("jobs1-inline", 1, None),
-        ("jobs4-fanout", 4, False),
-    ]
+    configurations = [("jobs1-inline", 1), ("jobs4-fanout", 4)]
     rows: list[SupervisionOverheadRow] = []
-    for name, jobs, inline in configurations:
+    for name, jobs in configurations:
 
         def run(supervised: bool):
-            return compare_parallel(
-                fw_a, fw_b, jobs=jobs, inline=inline, supervised=supervised
-            )
+            return compare_parallel(fw_a, fw_b, jobs=jobs, supervised=supervised)
 
         # Warm-up pair (untimed) doubles as the output-parity evidence.
         bare_result = run(False)

@@ -193,7 +193,6 @@ def run_scenario(
         fw_a,
         fw_b,
         jobs=jobs,
-        inline=False,
         start_method=start_method,
         supervision=scenario.config,
         chaos=ChaosPlan(scenario.actions),

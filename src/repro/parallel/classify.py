@@ -11,8 +11,9 @@ kernel is a derived cache and deliberately never pickles).
 
 The fan-out reuses the comparison engine's pool runner, so deadline
 checkpoints of a parent guard are honoured while waiting on workers.
-On a single-core box (or for batches below ``jobs`` packets) the call
-degrades to one in-process chunk without touching the pool.
+With one chunk (``jobs=1``, the default on a single-core box, or a
+batch of at most one packet) the call classifies in process without
+touching the pool.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 from repro.classify.matcher import CompiledMatcher
 from repro.fields import Packet
 from repro.guard import GuardContext
-from repro.parallel.engine import default_jobs
+from repro.parallel.engine import _resolve_jobs
 from repro.parallel.pool import get_pool, resolve_snapshot
 from repro.policy.decision import Decision
 
@@ -53,7 +54,6 @@ def classify_parallel(
     *,
     jobs: int | None = None,
     start_method: str | None = None,
-    inline: bool | None = None,
     guard: GuardContext | None = None,
 ) -> list[Decision]:
     """Classify a batch across ``jobs`` worker processes.
@@ -61,18 +61,17 @@ def classify_parallel(
     Splits the batch into ``jobs`` contiguous chunks, publishes the
     compiled artifact to the pool once, and concatenates the per-chunk
     decisions — the result is elementwise identical to
-    ``matcher.classify_batch``.  ``jobs`` defaults to the CPU count;
-    ``inline=True`` forces in-process execution (``None`` lets chunk
-    count decide, exactly like the comparison engine); ``guard`` is
+    ``matcher.classify_batch``.  ``jobs`` defaults to the CPU count and
+    must be at least 1; a batch that makes one chunk (``jobs=1``, or at
+    most one packet) is classified in process.  ``guard`` is
     checkpointed while awaiting workers so parent deadlines and
     cancellation still bite.
     """
     if not isinstance(packets, (list, tuple)):
         packets = list(packets)
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    chunks = max(1, min(jobs, len(packets)))
-    run_inline = (chunks <= 1) if inline is None else bool(inline)
-    if run_inline or chunks <= 1:
+    jobs = _resolve_jobs(jobs)
+    chunks = min(jobs, len(packets))
+    if chunks <= 1:
         return matcher.classify_batch(packets)
     pool = get_pool(start_method)
     snapshot_id = pool.publish_snapshot(matcher)

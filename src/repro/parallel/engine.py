@@ -15,61 +15,48 @@ results merge by *addition*:
 * node/path counts sum (as per-shard structural totals; cross-shard
   sharing is intentionally given up for parallelism).
 
-Execution has two modes sharing one merge path:
+Every run executes one pipeline of three task lists, whatever ``jobs``:
 
-* **Inline** (``inline=True``, and any single-shard run): both firewalls
-  are constructed **once** into one shared
-  :class:`~repro.fdd.store.NodeStore`, and each shard's difference is
-  built by restricting the full diagram's field-0 edges to the shard
-  (:func:`_restrict_root`) — no per-shard re-interning, and the store's
-  persistent product caches share every repeated sub-product across
-  shards.  Restriction is sound because the hash-consed construction
-  output is the unique reduced diagram of the policy: slicing its root
-  edges yields exactly the diagram a per-shard reconstruction would
-  build.
-* **Process fan-out** (``inline=False``): a three-phase pipeline over
-  the persistent worker pool (:mod:`repro.parallel.pool`):
+1. **Piece construction.**  Construction dominates serial cost (~90 %
+   on the Fig. 13 workload), so it is what fans out.  The shard plan is
+   grouped into ``⌈shards / _OVERSPLIT⌉`` contiguous *pieces* of the
+   field-0 domain, and one task per (side, piece) constructs
+   :func:`restrict_to_shard`'s restriction.  The split is over the
+   domain, never the rule list: a rule-suffix chunk loses the shadowing
+   of earlier rules and its diagram blows up, while a restricted
+   firewall preserves rule order — and the hash-consed output is
+   exactly the full diagram's restriction.
+2. **Intern + stage.**  The parent interns the returned piece roots
+   into one store and stages them under one snapshot id: published
+   **once** to the workers (shared memory when available, pipe bytes
+   otherwise) for pool dispatch, only cached under a local id in
+   process.
+3. **Snapshot shards.**  Shard tasks carry only the snapshot id, their
+   interval, and their piece index, and build every shard difference
+   via :func:`_restrict_root` over the piece roots — no per-shard
+   reconstruction.  Shards dispatch longest-first, so with the
+   oversplit plans :func:`compare_parallel` makes (``_OVERSPLIT``
+   shards per job) a slow shard does not bound wall-clock.
 
-  1. **Piece construction.**  Construction dominates serial cost
-     (~90 % on the Fig. 13 workload), so it is what fans out.  The
-     (oversplit) shard plan is grouped into ≤ ``jobs`` contiguous
-     *pieces* of the field-0 domain, and one task per (side, piece)
-     constructs :func:`restrict_to_shard`'s restriction in a worker.
-     The split is over the domain, never the rule list: a rule-suffix
-     chunk loses the shadowing of earlier rules and its diagram blows
-     up, while a restricted firewall preserves rule order — and the
-     hash-consed output is exactly the full diagram's restriction.
-  2. **Intern + publish.**  The parent interns the returned piece roots
-     into one store and publishes them **once** as a snapshot (shared
-     memory when available, pipe bytes otherwise).
-  3. **Snapshot shard fan-out.**  Shard tasks carry only the snapshot
-     id, their interval, and their piece index.  Workers resolve the
-     snapshot once per comparison, then build every shard difference
-     via :func:`_restrict_root` over their cached store — the same
-     restriction the inline path uses, so no per-shard reconstruction.
-     Shards are *oversplit* (more shards than jobs) and dispatched
-     longest-first, so a slow shard no longer bounds wall-clock
-     (work-stealing via the pool's free-worker dispatch).
+``jobs`` only picks the dispatcher (:func:`_run_tasks`): ``jobs == 1``
+(or a one-shard plan) runs the task lists serially in the parent;
+otherwise they go to the persistent worker pool
+(:mod:`repro.parallel.pool`), **supervised** by default —
+:func:`repro.parallel.supervisor.supervise` detects crashed/hung
+workers and corrupted result envelopes, retries with backoff, and when
+retries are exhausted re-executes the task serially in the parent,
+recording a :class:`~repro.parallel.supervisor.Degradation` on the
+merged result.  Both dispatchers run the same tasks, so they give the
+same answer and the same guard spend.
 
-Guard budgets (PR 1) propagate: each worker receives the parent's
-*remaining* budget (deadline already discounted by elapsed dispatch
-time), spends under its own :class:`~repro.guard.GuardContext`, and the
-parent re-ticks every shard's spend on merge so the *aggregate* is
-enforced against the original budget — in inline mode the one-time
-construction spend lands on the parent directly.  The first
-:class:`~repro.exceptions.BudgetExceededError` (or any worker error)
-terminates the remaining shards before re-raising.
-
-Process fan-out runs **supervised** by default (PR 6): shards dispatch
-through :func:`repro.parallel.supervisor.supervise`, which detects
-crashed/hung workers and corrupted result envelopes, retries with
-backoff, and — when retries are exhausted — re-executes the shard
-serially in the parent under the remaining budget, recording a
-:class:`~repro.parallel.supervisor.Degradation` on the merged result.
-Every dispatch (including retries and the serial fallback) re-derives
-the shard's budget from the parent's remaining headroom, and completed
-shards tick the parent as they arrive, so no retry sequence can
-outspend the caller's original budget.
+Guard budgets propagate the same way under both dispatchers: every
+task is handed the parent's *remaining* budget at dispatch (deadline
+already discounted by elapsed time), spends under its own
+:class:`~repro.guard.GuardContext`, and its result re-ticks the parent
+the moment it arrives, so the *aggregate* is enforced against the
+original budget and no retry sequence can outspend it.  The first
+:class:`~repro.exceptions.BudgetExceededError` (or any fatal worker
+error) terminates the remaining tasks before re-raising.
 """
 
 from __future__ import annotations
@@ -79,6 +66,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.analysis.discrepancy import Discrepancy
 from repro.exceptions import SchemaError
@@ -95,6 +83,7 @@ from repro.fields import FieldSchema
 from repro.guard import Budget, FaultInjector, GuardContext
 from repro.intervals import IntervalSet
 from repro.parallel.pool import (
+    WorkerPool,
     get_pool,
     register_derived_cache,
     resolve_snapshot,
@@ -127,6 +116,16 @@ __all__ = [
 def default_jobs() -> int:
     """Worker count when the caller does not choose: one per CPU."""
     return os.cpu_count() or 1
+
+
+def _resolve_jobs(jobs: int | None) -> int:
+    """``jobs`` as given, :func:`default_jobs` for ``None``; below 1 is
+    an error, never a silent serial run."""
+    if jobs is None:
+        return default_jobs()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return jobs
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +231,11 @@ def restrict_to_shard(firewall: Firewall, shard: IntervalSet) -> Firewall:
 # ----------------------------------------------------------------------
 
 
-#: Fan-out plans this many shards per worker, so longest-first dispatch
-#: over the pool's free workers can steal around a slow shard instead of
-#: letting ``shard_ms_max`` bound wall-clock.
+#: :func:`compare_parallel` plans this many shards per job, so
+#: longest-first dispatch over the pool's free workers can steal around a
+#: slow shard instead of letting ``shard_ms_max`` bound wall-clock;
+#: :func:`compare_sharded` groups them back into one construction piece
+#: per job.
 _OVERSPLIT = 3
 
 
@@ -253,43 +254,32 @@ class _PieceTask:
     — so phase 3 can serve any sub-shard of the piece from its root.
     """
 
-    piece_index: int
-    #: ``"a"`` or ``"b"``.
-    side: str
     firewall: Firewall
-    budget: Budget | None
     fault: FaultInjector | None
+    #: Set at dispatch to the parent's remaining headroom.
+    budget: Budget | None = None
 
 
 @dataclass(frozen=True)
 class _PieceResult:
     """One constructed piece root, with the worker's guard spend."""
 
-    piece_index: int
-    side: str
     root: Node
     progress: dict = field(default_factory=dict)
     elapsed_ms: float = 0.0
 
 
 def _execute_piece(task: _PieceTask) -> _PieceResult:
-    """Construct one restricted side (in a worker process or inline).
+    """Construct one restricted side (in a worker process or the parent).
 
     Builds into a fresh local store; only the root's node graph (a few
     tens of KB) crosses back over the pipe.
     """
-    guard = None
-    if task.budget is not None or task.fault is not None:
-        guard = GuardContext(
-            task.budget if task.budget is not None else Budget.unlimited(),
-            fault=task.fault,
-        )
+    guard = _task_guard(task.budget, task.fault)
     start = time.perf_counter()
     store = NodeStore()
     fdd = construct_fdd_fast(task.firewall, store, guard=guard)
     return _PieceResult(
-        piece_index=task.piece_index,
-        side=task.side,
         root=fdd.root,
         progress=guard.progress() if guard is not None else {},
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
@@ -336,92 +326,52 @@ def _construct_pieces(
     fw_b: Firewall,
     pieces: list[tuple[IntervalSet, list[int]]],
     *,
-    jobs: int,
-    parent: GuardContext | None,
     fault: FaultInjector | None,
-    start_method: str | None,
-    supervised: bool,
-    supervision: SupervisorConfig | None,
     chaos,
-    pool,
+    run,
     phase_ms: dict,
 ) -> tuple[
     dict[int, tuple[Node, Node]],
     tuple[Degradation, ...],
     tuple[ShardFailure, ...],
 ]:
-    """Phase 1+2 of the fan-out: construct pieces in parallel, intern.
+    """Phases 1+2: construct every (side, piece) restriction, intern.
 
-    One task per (side, piece), dispatched longest-first.  The returned
-    roots are interned into one fresh store so structure shared between
-    pieces is deduplicated before the snapshot payload is pickled.
-    Supervision records from this dispatch index the construction task
-    list; they are tagged in ``detail`` before surfacing.
+    ``run`` is the comparison's bound :func:`_run_tasks`; tasks go
+    heaviest-first, and chaos plans address this dispatch (construction
+    is where the ``fast.rule`` fault site lives).  The returned roots
+    are interned into one fresh store so structure shared between
+    pieces is deduplicated before the snapshot payload is staged.
+    Supervision records index the construction task list; they are
+    tagged in ``detail`` before surfacing.
     """
-    tasks: list[_PieceTask] = []
-    for side, firewall in (("a", fw_a), ("b", fw_b)):
-        for index, (domain, _members) in enumerate(pieces):
-            tasks.append(
-                _PieceTask(
-                    piece_index=index,
-                    side=side,
-                    firewall=restrict_to_shard(firewall, domain),
-                    budget=parent.remaining_budget() if parent is not None else None,
-                    fault=fault,
-                )
-            )
-    order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i].firewall))
-    dispatched = [tasks[i] for i in order]
+    tasks = [
+        _PieceTask(firewall=restrict_to_shard(firewall, domain), fault=fault)
+        for firewall in (fw_a, fw_b)
+        for domain, _members in pieces
+    ]
     start = time.perf_counter()
-    degradations: tuple[Degradation, ...] = ()
-    failures: tuple[ShardFailure, ...] = ()
-    if supervised:
-        results, found_degradations, found_failures = supervise(
-            _execute_piece,
-            dispatched,
-            jobs=jobs,
-            config=supervision,
-            start_method=start_method,
-            guard=parent,
-            rebudget=_make_rebudget(parent),
-            on_result=_make_on_result(parent),
-            chaos=chaos,
-            pool=pool,
-        )
-        degradations = tuple(
-            replace(
-                d,
-                shard_index=order[d.shard_index],
-                detail=(d.detail + " [construction piece]").strip(),
-            )
-            for d in found_degradations
-        )
-        failures = tuple(
-            replace(f, shard_index=order[f.shard_index])
-            for f in found_failures
-        )
-    else:
-        results = pool.run(_execute_piece, dispatched, jobs=jobs, guard=parent)
-        for result in results:
-            if parent is not None and result.progress:
-                parent.tick_nodes(result.progress.get("nodes_expanded", 0))
-                parent.tick_splits(result.progress.get("edges_split", 0))
-                parent.tick_discrepancies(
-                    result.progress.get("discrepancies_found", 0)
-                )
+    results, degradations, failures = run(
+        _execute_piece, tasks, weight=lambda task: len(task.firewall), chaos=chaos
+    )
     piece_ms = [result.elapsed_ms for result in results]
     phase_ms["construct_wall_ms"] = (time.perf_counter() - start) * 1000.0
     phase_ms["construct_ms_sum"] = sum(piece_ms)
     phase_ms["construct_ms_max"] = max(piece_ms, default=0.0)
+    # Results come back in task order: every piece of side a, then b.
     store = NodeStore()
-    by_piece: dict[int, dict[str, Node]] = {}
-    for result in results:
-        by_piece.setdefault(result.piece_index, {})[result.side] = store.intern(
-            result.root
-        )
+    count = len(pieces)
     roots = {
-        index: (sides["a"], sides["b"]) for index, sides in by_piece.items()
+        index: (
+            store.intern(results[index].root),
+            store.intern(results[count + index].root),
+        )
+        for index in range(count)
     }
+    degradations = tuple(
+        replace(d, detail=(d.detail + " [construction piece]").strip())
+        for d in degradations
+    )
     return roots, degradations, failures
 
 
@@ -485,12 +435,11 @@ class _SnapshotShardTask:
     #: what :func:`restrict_to_shard` would have kept).
     rules_a: int
     rules_b: int
-    budget: Budget | None
     fault: FaultInjector | None
     enumerate_discrepancies: bool
     discrepancy_limit: int | None
-    #: Work proxy used for longest-first dispatch.
-    weight: int = 0
+    #: Set at dispatch to the parent's remaining headroom.
+    budget: Budget | None = None
 
     @property
     def snapshot_ids(self) -> tuple[str, ...]:
@@ -498,16 +447,16 @@ class _SnapshotShardTask:
 
 
 #: Per-snapshot payload cache: ``snapshot_id -> (schema,
-#: {piece_index: (root_a, root_b)})``.  In workers it holds the
-#: deserialized snapshot (one shm read + unpickle per worker per
-#: comparison); in the parent it is pre-seeded with the construction
-#: phase's live diagrams, so the degraded serial fallback never
-#: deserializes at all.  Each shard task interns its piece into a
-#: *fresh* store — sharing a warm store across shards would let the
-#: pair-memo skip product visits for whichever shard happened to run
-#: second, making guard node-spend depend on worker scheduling.
-#: Registered with the pool so retiring the snapshot evicts it
-#: everywhere.
+#: {piece_index: (root_a, root_b)})`` (or ``(schema, root)`` for a
+#: :func:`compare_many` policy).  In workers it holds the deserialized
+#: snapshot (one shm read + unpickle per worker per comparison); in the
+#: parent :func:`_stage` seeds it with the live diagrams, so in-process
+#: dispatch and the degraded serial fallback never deserialize at all.
+#: Each shard task interns its piece into a *fresh* store — sharing a
+#: warm store across shards would let the pair-memo skip product visits
+#: for whichever shard happened to run second, making guard node-spend
+#: depend on worker scheduling.  Registered with the pool so retiring
+#: the snapshot evicts it everywhere.
 _SNAPSHOT_PAYLOADS: dict[str, tuple] = register_derived_cache({})
 
 
@@ -522,20 +471,14 @@ def _snapshot_payload(snapshot_id: str) -> tuple:
 def _execute_snapshot_shard(task: _SnapshotShardTask) -> ShardResult:
     """Build one shard's difference from the cached snapshot payload.
 
-    Identical math to the inline path: restrict the enclosing piece's
-    roots' field-0 edges to the shard and run the product walk.  The
-    piece is interned into a fresh store per task (interning is linear
-    in the piece, the product walk is not) so the guard's node-spend
-    per shard is a pure function of the shard — deterministic across
-    runs, schedules, and retries, which the budget-across-retries
-    invariant relies on.
+    Restricts the enclosing piece's roots' field-0 edges to the shard
+    and runs the product walk.  The piece is interned into a fresh
+    store per task (interning is linear in the piece, the product walk
+    is not) so the guard's node-spend per shard is a pure function of
+    the shard — deterministic across runs, schedules, and retries,
+    which the budget-across-retries invariant relies on.
     """
-    guard = None
-    if task.budget is not None or task.fault is not None:
-        guard = GuardContext(
-            task.budget if task.budget is not None else Budget.unlimited(),
-            fault=task.fault,
-        )
+    guard = _task_guard(task.budget, task.fault)
     start = time.perf_counter()
     schema, piece_roots = _snapshot_payload(task.snapshot_id)
     raw_a, raw_b = piece_roots[task.piece_index]
@@ -600,84 +543,6 @@ def _restrict_root(root, shard: IntervalSet, store: NodeStore):
     return store.internal(0, edges)
 
 
-def _execute_shards_shared(
-    fw_a: Firewall,
-    fw_b: Firewall,
-    shards: list[IntervalSet],
-    *,
-    budget: Budget | None,
-    fault: FaultInjector | None,
-    enumerate_discrepancies: bool,
-    discrepancy_limit: int | None,
-) -> tuple[GuardContext | None, dict, list[ShardResult]]:
-    """Inline shard execution over one shared store.
-
-    Constructs both FDDs once (spend lands on the parent guard), then
-    builds each shard's difference from the restricted roots, with the
-    store's persistent product caches shared across shards.  Returns the
-    parent guard, its construction-phase spend, and per-shard results
-    whose ``progress`` carries only the shard's own (product-walk)
-    spend — the caller's merge loop re-ticks those against the parent.
-    """
-    parent = None
-    if budget is not None or fault is not None:
-        parent = GuardContext(
-            budget if budget is not None else Budget.unlimited(), fault=fault
-        )
-    store = NodeStore()
-    fdd_a = construct_fdd_fast(fw_a, store, guard=parent)
-    fdd_b = construct_fdd_fast(fw_b, store, guard=parent)
-    construction = parent.progress() if parent is not None else {}
-    schema = fw_a.schema
-    results: list[ShardResult] = []
-    for index, shard in enumerate(shards):
-        child = None
-        if parent is not None:
-            child = GuardContext(parent.remaining_budget(), fault=fault)
-        start = time.perf_counter()
-        diff = build_difference(
-            FDD(schema, _restrict_root(fdd_a.root, shard, store)),
-            FDD(schema, _restrict_root(fdd_b.root, shard, store)),
-            guard=child,
-            store=store,
-        )
-        diff = _anchor_to_shard(diff, shard)
-        by_decisions = diff.disputed_by_decisions()
-        discrepancies = None
-        if enumerate_discrepancies:
-            discrepancies = tuple(
-                diff.discrepancies(limit=discrepancy_limit, guard=child)
-            )
-        results.append(
-            ShardResult(
-                shard_index=index,
-                shard=shard,
-                disputed_packets=sum(by_decisions.values()),
-                by_decisions=by_decisions,
-                node_count=diff.node_count(),
-                path_count=diff.path_count(),
-                rules_a=_rules_overlapping(fw_a, shard),
-                rules_b=_rules_overlapping(fw_b, shard),
-                discrepancies=discrepancies,
-                progress=child.progress() if child is not None else {},
-                elapsed_ms=(time.perf_counter() - start) * 1000.0,
-            )
-        )
-    return parent, construction, results
-
-
-@dataclass(frozen=True)
-class _PairTask:
-    """One (i, j) team pair for the concurrent cross comparison."""
-
-    index_a: int
-    index_b: int
-    fw_a: Firewall
-    fw_b: Firewall
-    budget: Budget | None
-    fault: FaultInjector | None
-
-
 @dataclass(frozen=True)
 class PairComparison:
     """Summary of one team pair's comparison (Section 7.3, parallel)."""
@@ -699,32 +564,6 @@ class PairComparison:
         return self.disputed_packets == 0
 
 
-def _execute_pair(task: _PairTask) -> PairComparison:
-    """Run one full pair comparison (in a worker process or inline)."""
-    guard = None
-    if task.budget is not None or task.fault is not None:
-        guard = GuardContext(
-            task.budget if task.budget is not None else Budget.unlimited(),
-            fault=task.fault,
-        )
-    start = time.perf_counter()
-    store = NodeStore()
-    fdd_a = construct_fdd_fast(task.fw_a, store, guard=guard)
-    fdd_b = construct_fdd_fast(task.fw_b, store, guard=guard)
-    diff = build_difference(fdd_a, fdd_b, guard=guard, store=store)
-    by_decisions = diff.disputed_by_decisions()
-    return PairComparison(
-        index_a=task.index_a,
-        index_b=task.index_b,
-        disputed_packets=sum(by_decisions.values()),
-        by_decisions=by_decisions,
-        node_count=diff.node_count(),
-        path_count=diff.path_count(),
-        progress=guard.progress() if guard is not None else {},
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
-
-
 @dataclass(frozen=True)
 class _SnapshotPairTask:
     """One (i, j) team pair resolved against published policy snapshots.
@@ -740,8 +579,9 @@ class _SnapshotPairTask:
     index_b: int
     snapshot_id_a: str
     snapshot_id_b: str
-    budget: Budget | None
     fault: FaultInjector | None
+    #: Set at dispatch to the parent's remaining headroom.
+    budget: Budget | None = None
 
     @property
     def snapshot_ids(self) -> tuple[str, ...]:
@@ -751,19 +591,12 @@ class _SnapshotPairTask:
 def _execute_snapshot_pair(task: _SnapshotPairTask) -> PairComparison:
     """Run one pair's product walk from the cached policy snapshots.
 
-    Same math as :func:`_execute_pair` minus the construction, which
-    the parent already did once per policy (its spend lands on the
-    parent guard, exactly like :func:`compare_sharded`'s construction
-    phase).  Both roots are interned into a *fresh* store per pair so
-    guard node-spend is a pure function of the pair — deterministic
-    across runs, schedules, and retries.
+    The parent already constructed each policy once (that spend lands on
+    the parent guard).  Both roots are interned into a *fresh* store per
+    pair so guard node-spend is a pure function of the pair —
+    deterministic across runs, schedules, and retries.
     """
-    guard = None
-    if task.budget is not None or task.fault is not None:
-        guard = GuardContext(
-            task.budget if task.budget is not None else Budget.unlimited(),
-            fault=task.fault,
-        )
+    guard = _task_guard(task.budget, task.fault)
     start = time.perf_counter()
     schema, raw_a = _snapshot_payload(task.snapshot_id_a)
     _schema_b, raw_b = _snapshot_payload(task.snapshot_id_b)
@@ -785,63 +618,121 @@ def _execute_snapshot_pair(task: _SnapshotPairTask) -> PairComparison:
 
 
 # ----------------------------------------------------------------------
-# Fan-out driver
+# Dispatch: the same task lists, in the parent or across the pool
 # ----------------------------------------------------------------------
 
 
-def _run_fanout(
+def _task_guard(
+    budget: Budget | None, fault: FaultInjector | None
+) -> GuardContext | None:
+    """A task's own guard, or ``None`` when the task runs unguarded."""
+    if budget is None and fault is None:
+        return None
+    return GuardContext(
+        budget if budget is not None else Budget.unlimited(), fault=fault
+    )
+
+
+def _stage(payload: tuple, pool: WorkerPool | None) -> str:
+    """Make ``payload`` resolvable by snapshot tasks; returns its id.
+
+    Pool dispatch publishes it once to the workers; in process
+    (``pool is None``) nothing is published and the payload is only
+    cached under a local id.  The parent's cache always holds the live
+    objects, so the parent never deserializes its own payload.
+    """
+    if pool is None:
+        snapshot_id = f"local-{id(payload)}"
+    else:
+        snapshot_id = pool.publish_snapshot(None, payload=pickle.dumps(payload))
+    _SNAPSHOT_PAYLOADS[snapshot_id] = payload
+    return snapshot_id
+
+
+def _retire(snapshot_id: str, pool: WorkerPool | None) -> None:
+    """Undo :func:`_stage`: drop the payload everywhere it went."""
+    if pool is None:
+        _SNAPSHOT_PAYLOADS.pop(snapshot_id, None)
+    else:
+        pool.retire_snapshot(snapshot_id)
+
+
+def _run_tasks(
     worker,
     tasks: list,
     *,
     jobs: int,
-    start_method: str | None,
-    inline: bool,
-    guard: GuardContext | None,
-) -> list:
-    """Run ``worker`` over ``tasks``, in-process or across the pool.
+    pool: WorkerPool | None,
+    parent: GuardContext | None,
+    supervised: bool,
+    supervision: SupervisorConfig | None,
+    weight=None,
+    chaos=None,
+) -> tuple[list, tuple[Degradation, ...], tuple[ShardFailure, ...]]:
+    """Run ``worker`` over ``tasks``; the dispatcher only picks *where*.
 
-    The pool path (:meth:`~repro.parallel.pool.WorkerPool.run`) waits
-    event-driven on the worker pipes — no polling sleep — and the first
-    failure (budget trip, injected fault, anything) terminates the
-    still-busy workers immediately instead of letting them burn budget
-    to the end; the parent guard's deadline/cancellation is enforced
-    while waiting.  On success workers return to the persistent pool
-    alive (their atexit hooks eventually run at interpreter exit).
+    Tasks go heaviest-first by ``weight`` (longest-processing-time
+    order), and run serially in the parent when ``pool`` is ``None`` or
+    there is at most one task, else through :func:`supervise` over
+    ``jobs`` pool workers (``supervised=False``: the bare
+    :meth:`~repro.parallel.pool.WorkerPool.run`, kept for overhead
+    benchmarking).  Whichever runs them, every task is handed the
+    parent's remaining budget at dispatch and every completed result
+    ticks the parent as it arrives.  Returns ``(results, degradations,
+    failures)`` with results in task order and the supervision records'
+    indices remapped from dispatch order to task order.
     """
-    if inline or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    return get_pool(start_method).run(worker, tasks, jobs=jobs, guard=guard)
-
-
-def _make_rebudget(parent: GuardContext | None):
-    """Supervised dispatch hook: refresh a task's budget to the parent's
-    remaining headroom, so a retried (or degraded) shard can never be
-    handed more than the aggregate has left."""
-    if parent is None:
-        return None
+    order = list(range(len(tasks)))
+    if weight is not None:
+        order.sort(key=lambda i: -weight(tasks[i]))
+    dispatched = [tasks[i] for i in order]
 
     def rebudget(task):
+        if parent is None:
+            return task
         return replace(task, budget=parent.remaining_budget())
 
-    return rebudget
-
-
-def _make_on_result(parent: GuardContext | None):
-    """Supervised completion hook: tick a shard's spend against the
-    parent guard as soon as its result arrives (instead of at merge),
-    so mid-run retries see an up-to-date aggregate."""
-    if parent is None:
-        return None
-
-    def on_result(result):
-        if result.progress:
+    def on_result(result) -> None:
+        if parent is not None and result.progress:
             parent.tick_nodes(result.progress.get("nodes_expanded", 0))
             parent.tick_splits(result.progress.get("edges_split", 0))
             parent.tick_discrepancies(
                 result.progress.get("discrepancies_found", 0)
             )
 
-    return on_result
+    results: list = []
+    degradations: list[Degradation] = []
+    failures: list[ShardFailure] = []
+    if pool is None or len(tasks) <= 1:
+        for task in dispatched:
+            results.append(worker(rebudget(task)))
+            on_result(results[-1])
+    elif supervised:
+        results, degradations, failures = supervise(
+            worker,
+            dispatched,
+            jobs=jobs,
+            config=supervision,
+            guard=parent,
+            rebudget=rebudget,
+            on_result=on_result,
+            chaos=chaos,
+            pool=pool,
+        )
+    else:
+        results = pool.run(
+            worker, [rebudget(task) for task in dispatched], jobs=jobs, guard=parent
+        )
+        for result in results:
+            on_result(result)
+    in_order: list = [None] * len(tasks)
+    for index, result in zip(order, results):
+        in_order[index] = result
+    return (
+        in_order,
+        tuple(replace(d, shard_index=order[d.shard_index]) for d in degradations),
+        tuple(replace(f, shard_index=order[f.shard_index]) for f in failures),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -874,18 +765,18 @@ class ParallelComparison:
     #: The parent guard's outcome record (budget, aggregated spend), or
     #: ``None`` for unguarded runs.
     outcome: dict | None
-    #: Guard spend of the one-time shared-store construction phase
-    #: (inline mode only; for process fan-out the chunk workers account
-    #: their own construction spend in their shard ``progress``).
+    #: The parent guard's spend after the piece-construction phase
+    #: (empty for unguarded runs); ``outcome`` adds every shard's
+    #: ``progress`` on top.
     construction: dict = field(default_factory=dict)
-    #: Fan-out phase wall-clock breakdown, milliseconds: piece
-    #: construction (``construct_wall_ms`` / ``construct_ms_sum`` /
-    #: ``construct_ms_max``), snapshot publication (``publish_ms``),
-    #: and the shard dispatch wave (``shard_wall_ms``).  Empty for
-    #: inline runs.
+    #: Phase wall-clock breakdown, milliseconds: piece construction
+    #: (``construct_wall_ms`` / ``construct_ms_sum`` /
+    #: ``construct_ms_max``), staging the piece roots (``publish_ms``:
+    #: the snapshot publication under pool dispatch), and the shard
+    #: wave (``shard_wall_ms``).  Filled whichever dispatcher ran.
     phase_ms: dict = field(default_factory=dict)
-    #: Shards that exhausted their retries and were re-executed serially
-    #: in the parent (supervised fan-out only).  The merged numbers stay
+    #: Tasks that exhausted their retries and were re-executed serially
+    #: in the parent (supervised pool dispatch only).  The merged numbers stay
     #: exact — a degradation records a loss of parallelism, not of
     #: correctness — but callers (and the CLI, exit code 5) surface it.
     degradations: tuple[Degradation, ...] = ()
@@ -959,7 +850,6 @@ def compare_sharded(
     enumerate_discrepancies: bool = False,
     discrepancy_limit: int | None = None,
     start_method: str | None = None,
-    inline: bool = True,
     supervised: bool = True,
     supervision: SupervisorConfig | None = None,
     chaos=None,
@@ -967,140 +857,73 @@ def compare_sharded(
     """Compare over an explicit shard list (the engine's testable core).
 
     :func:`compare_parallel` is this plus automatic shard planning.
-    ``inline=True`` (the default here) executes shards sequentially in
-    the calling process over **one shared node store** — both policies
-    are constructed once and each shard's difference is built from the
-    restricted roots; identical math, no pickling, deterministic — which
-    is what the property tests exercise.  Pass ``inline=False`` to run
-    the three-phase pipeline over the persistent pool: chunked parallel
-    construction, in-parent composition, then the shard differences fanned
-    out as references to one published snapshot (see the module
-    docstring).
+    Always the same pipeline (see the module docstring): group the
+    shards into ``⌈len(shards) / _OVERSPLIT⌉`` pieces, construct each
+    (side, piece), intern the piece roots into one store, then build
+    each shard's difference from them.  ``jobs`` only picks where those
+    tasks run: ``jobs=1`` (or a one-shard plan) serially in the calling
+    process, otherwise on ``jobs`` workers of the persistent pool for
+    ``start_method`` — with the same answer and the same guard spend.
 
-    Process fan-out dispatches through the supervisor by default:
-    ``supervision`` tunes its retry/deadline/heartbeat policy, and
-    ``supervised=False`` selects the bare pool (no crash recovery —
-    kept for overhead benchmarking).  ``chaos`` is a test-only
-    :class:`repro.chaos.ChaosPlan` injecting faults into workers.
+    Pool dispatch is supervised by default: ``supervision`` tunes its
+    retry/deadline/heartbeat policy, and ``supervised=False`` selects
+    the bare pool (no crash recovery — kept for overhead benchmarking).
+    ``chaos`` is a test-only :class:`repro.chaos.ChaosPlan` injecting
+    faults into the construction-piece workers.
     """
     if fw_a.schema != fw_b.schema:
         raise SchemaError("cannot compare firewalls over different field schemas")
-    construction: dict = {}
-    degradations: tuple[Degradation, ...] = ()
-    failures: tuple[ShardFailure, ...] = ()
+    jobs = _resolve_jobs(jobs)
+    parent = GuardContext(budget) if budget is not None else None
+    pool = get_pool(start_method) if jobs > 1 and len(shards) > 1 else None
+    run = partial(
+        _run_tasks,
+        jobs=jobs,
+        pool=pool,
+        parent=parent,
+        supervised=supervised,
+        supervision=supervision,
+    )
     phase_ms: dict = {}
-    parent_ticked = False
-    if inline or len(shards) <= 1:
-        parent, construction, results = _execute_shards_shared(
-            fw_a,
-            fw_b,
-            shards,
-            budget=budget,
-            fault=fault,
-            enumerate_discrepancies=enumerate_discrepancies,
-            discrepancy_limit=discrepancy_limit,
-        )
-    else:
-        parent = GuardContext(budget) if budget is not None else None
-        pool = get_pool(start_method)
-        # Phases 1+2: group the shard plan into ≤ jobs contiguous pieces
-        # and construct each (side, piece) restriction in parallel.
-        # Chaos plans address these dispatches (construction is where
-        # the ``fast.rule`` fault site lives); their failure records are
-        # tagged and merged below.
-        overlaps = [
-            (_rules_overlapping(fw_a, shard), _rules_overlapping(fw_b, shard))
-            for shard in shards
-        ]
-        shard_weights = [a + b for a, b in overlaps]
-        pieces = _plan_pieces(shards, shard_weights, jobs)
-        piece_of_shard = {
-            shard_index: piece_index
+    overlaps = [
+        (_rules_overlapping(fw_a, shard), _rules_overlapping(fw_b, shard))
+        for shard in shards
+    ]
+    pieces = _plan_pieces(
+        shards, [a + b for a, b in overlaps], -(-len(shards) // _OVERSPLIT)
+    )
+    piece_roots, degradations, failures = _construct_pieces(
+        fw_a, fw_b, pieces, fault=fault, chaos=chaos, run=run, phase_ms=phase_ms
+    )
+    construction = parent.progress() if parent is not None else {}
+    start = time.perf_counter()
+    snapshot_id = _stage((fw_a.schema, piece_roots), pool)
+    phase_ms["publish_ms"] = (time.perf_counter() - start) * 1000.0
+    start = time.perf_counter()
+    try:
+        tasks = [
+            _SnapshotShardTask(
+                shard_index=shard_index,
+                shard=shards[shard_index],
+                snapshot_id=snapshot_id,
+                piece_index=piece_index,
+                rules_a=overlaps[shard_index][0],
+                rules_b=overlaps[shard_index][1],
+                fault=fault,
+                enumerate_discrepancies=enumerate_discrepancies,
+                discrepancy_limit=discrepancy_limit,
+            )
             for piece_index, (_domain, members) in enumerate(pieces)
             for shard_index in members
-        }
-        piece_roots, degradations, failures = _construct_pieces(
-            fw_a,
-            fw_b,
-            pieces,
-            jobs=jobs,
-            parent=parent,
-            fault=fault,
-            start_method=start_method,
-            supervised=supervised,
-            supervision=supervision,
-            chaos=chaos,
-            pool=pool,
-            phase_ms=phase_ms,
+        ]
+        results, shard_degradations, shard_failures = run(
+            _execute_snapshot_shard,
+            tasks,
+            weight=lambda task: task.rules_a + task.rules_b,
         )
-        # Phase 3: publish the piece roots once, fan shards out as
-        # snapshot references, dispatched longest-first over the pool.
-        start = time.perf_counter()
-        snapshot_id = pool.publish_snapshot(
-            None, payload=pickle.dumps((fw_a.schema, piece_roots))
-        )
-        _SNAPSHOT_PAYLOADS[snapshot_id] = (fw_a.schema, piece_roots)
-        phase_ms["publish_ms"] = (time.perf_counter() - start) * 1000.0
-        start = time.perf_counter()
-        try:
-            tasks = []
-            for index, shard in enumerate(shards):
-                rules_a, rules_b = overlaps[index]
-                tasks.append(
-                    _SnapshotShardTask(
-                        shard_index=index,
-                        shard=shard,
-                        snapshot_id=snapshot_id,
-                        piece_index=piece_of_shard[index],
-                        rules_a=rules_a,
-                        rules_b=rules_b,
-                        budget=parent.remaining_budget()
-                        if parent is not None
-                        else None,
-                        fault=fault,
-                        enumerate_discrepancies=enumerate_discrepancies,
-                        discrepancy_limit=discrepancy_limit,
-                        weight=rules_a + rules_b,
-                    )
-                )
-            # Longest-first (LPT) dispatch order: with oversplit shards,
-            # a heavy shard starts first and light ones pack around it.
-            order = sorted(
-                range(len(tasks)), key=lambda i: -tasks[i].weight
-            )
-            dispatched = [tasks[i] for i in order]
-            if supervised:
-                results, shard_degradations, shard_failures = supervise(
-                    _execute_snapshot_shard,
-                    dispatched,
-                    jobs=jobs,
-                    config=supervision,
-                    start_method=start_method,
-                    guard=parent,
-                    rebudget=_make_rebudget(parent),
-                    on_result=_make_on_result(parent),
-                    pool=pool,
-                )
-                # Supervision records index the dispatch order; remap to
-                # true shard indices before surfacing them.
-                degradations = degradations + tuple(
-                    replace(d, shard_index=order[d.shard_index])
-                    for d in shard_degradations
-                )
-                failures = failures + tuple(
-                    replace(f, shard_index=order[f.shard_index])
-                    for f in shard_failures
-                )
-                # Completed work already ticked the parent on arrival.
-                parent_ticked = True
-            else:
-                results = pool.run(
-                    _execute_snapshot_shard, dispatched, jobs=jobs, guard=parent
-                )
-            results.sort(key=lambda result: result.shard_index)
-        finally:
-            pool.retire_snapshot(snapshot_id)
-        phase_ms["shard_wall_ms"] = (time.perf_counter() - start) * 1000.0
+    finally:
+        _retire(snapshot_id, pool)
+    phase_ms["shard_wall_ms"] = (time.perf_counter() - start) * 1000.0
 
     disputed = 0
     by_decisions: dict[tuple[Decision, Decision], int] = {}
@@ -1108,14 +931,6 @@ def compare_sharded(
     paths = 0
     cells: list[Discrepancy] = []
     for result in results:
-        if parent is not None and result.progress and not parent_ticked:
-            # Aggregate every shard's spend against the original budget:
-            # the whole run may not outspend what one serial run could.
-            parent.tick_nodes(result.progress.get("nodes_expanded", 0))
-            parent.tick_splits(result.progress.get("edges_split", 0))
-            parent.tick_discrepancies(
-                result.progress.get("discrepancies_found", 0)
-            )
         disputed += result.disputed_packets
         for pair, volume in result.by_decisions.items():
             by_decisions[pair] = by_decisions.get(pair, 0) + volume
@@ -1137,8 +952,8 @@ def compare_sharded(
         outcome=parent.outcome() if parent is not None else None,
         construction=construction,
         phase_ms=phase_ms,
-        degradations=degradations,
-        failures=failures,
+        degradations=degradations + shard_degradations,
+        failures=failures + shard_failures,
     )
 
 
@@ -1152,20 +967,21 @@ def compare_parallel(
     enumerate_discrepancies: bool = False,
     discrepancy_limit: int | None = None,
     start_method: str | None = None,
-    inline: bool | None = None,
     supervised: bool = True,
     supervision: SupervisorConfig | None = None,
     chaos=None,
 ) -> ParallelComparison:
     """Sharded parallel equivalent of :func:`repro.fdd.fast.compare_fast`.
 
-    Plans ≤ ``jobs`` weight-balanced shards over the root field, fans
-    them out across worker processes, and merges.  Disputed-packet
-    totals and the per-decision-pair breakdown are exact and equal to
-    the serial engine's.  ``jobs`` defaults to the CPU count;
-    ``start_method`` picks the ``multiprocessing`` context (``"fork"``,
-    ``"spawn"``, ... — ``None`` means the platform default; everything
-    shipped to workers is spawn-safe).
+    Plans ``_OVERSPLIT * jobs`` weight-balanced shards over the root
+    field (oversplit, so longest-first dispatch can steal work around a
+    slow shard), runs them through :func:`compare_sharded` on ``jobs``
+    workers, and merges.  Disputed-packet totals and the
+    per-decision-pair breakdown are exact and equal to the serial
+    engine's.  ``jobs`` defaults to the CPU count; ``start_method``
+    picks the ``multiprocessing`` context (``"fork"``, ``"spawn"``, ...
+    — ``None`` means the platform default; everything shipped to
+    workers is spawn-safe).
 
     >>> from repro.fields import toy_schema
     >>> from repro.policy import Firewall, Rule, ACCEPT, DISCARD
@@ -1173,26 +989,20 @@ def compare_parallel(
     >>> fa = Firewall(schema, [Rule.build(schema, ACCEPT)])
     >>> fb = Firewall(schema, [Rule.build(schema, DISCARD, F1=(2, 4)),
     ...                        Rule.build(schema, ACCEPT)])
-    >>> compare_parallel(fa, fb, jobs=2, inline=True).disputed_packets
+    >>> compare_parallel(fa, fb, jobs=1).disputed_packets
     3
     """
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    run_inline = (jobs <= 1) if inline is None else inline
-    # Fan-out oversplits the shard plan so the pool's longest-first
-    # dispatch can steal work around a slow shard; inline execution
-    # keeps one shard per job (oversplitting buys nothing in-process).
-    shards = plan_shards(fw_a, fw_b, jobs if run_inline else jobs * _OVERSPLIT)
+    jobs = _resolve_jobs(jobs)
     return compare_sharded(
         fw_a,
         fw_b,
-        shards,
+        plan_shards(fw_a, fw_b, jobs * _OVERSPLIT),
         jobs=jobs,
         budget=budget,
         fault=fault,
         enumerate_discrepancies=enumerate_discrepancies,
         discrepancy_limit=discrepancy_limit,
         start_method=start_method,
-        inline=run_inline,
         supervised=supervised,
         supervision=supervision,
         chaos=chaos,
@@ -1206,7 +1016,6 @@ def compare_many(
     budget: Budget | None = None,
     fault: FaultInjector | None = None,
     start_method: str | None = None,
-    inline: bool | None = None,
     supervised: bool = True,
     supervision: SupervisorConfig | None = None,
 ) -> dict[tuple[int, int], PairComparison]:
@@ -1214,19 +1023,19 @@ def compare_many(
 
     Section 7.3's cross comparison for the diverse-design workflow: the
     ``t * (t - 1) / 2`` unordered pairs are independent, so each pair
-    runs as one worker task.  Returns ``{(i, j): PairComparison}`` for
+    runs as one task.  Returns ``{(i, j): PairComparison}`` for
     ``i < j``.  Budgets aggregate across pairs exactly as
-    :func:`compare_parallel` aggregates across shards.  Fan-out runs
+    :func:`compare_parallel` aggregates across shards.
+
+    Each policy's diagram is constructed **once**, in the parent (that
+    spend lands on the parent guard), and staged as one snapshot per
+    policy (``t`` stagings, not one per pair); pair tasks carry two
+    snapshot ids.  ``jobs`` only picks where the pair tasks run:
+    ``jobs=1`` serially in the calling process, otherwise on the
+    persistent pool, where each worker deserializes a policy at most
+    once however many of its pairs it executes.  Pool dispatch runs
     supervised by default; a pair whose worker dispatches all failed is
     re-run serially and returned with ``degraded=True``.
-
-    The pool path constructs each policy's diagram **once** in the
-    parent and publishes it as one snapshot per policy (``t``
-    publications, not one per pair): pair tasks carry two snapshot ids,
-    and each worker deserializes a policy at most once however many of
-    its pairs it executes.  Inline execution keeps the self-contained
-    per-pair construction (sharing buys nothing in-process and the
-    per-pair guard spend stays comparable to the worker path).
     """
     if len(firewalls) < 2:
         raise SchemaError("cross comparison needs at least two firewalls")
@@ -1234,91 +1043,43 @@ def compare_many(
     for fw in firewalls:
         if fw.schema != schema:
             raise SchemaError("all versions must share one field schema")
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+    jobs = _resolve_jobs(jobs)
     parent = GuardContext(budget) if budget is not None else None
     pairs = [
         (i, j)
         for i in range(len(firewalls))
         for j in range(i + 1, len(firewalls))
     ]
-    run_inline = (jobs <= 1) if inline is None else inline
-    if run_inline or len(pairs) <= 1:
-        tasks = [
-            _PairTask(
-                index_a=i,
-                index_b=j,
-                fw_a=firewalls[i],
-                fw_b=firewalls[j],
-                budget=parent.remaining_budget() if parent is not None else None,
-                fault=fault,
-            )
-            for i, j in pairs
-        ]
-        results = [_execute_pair(task) for task in tasks]
-        for result in results:
-            if parent is not None and result.progress:
-                parent.tick_nodes(result.progress.get("nodes_expanded", 0))
-                parent.tick_splits(result.progress.get("edges_split", 0))
-                parent.tick_discrepancies(
-                    result.progress.get("discrepancies_found", 0)
-                )
-        return {(result.index_a, result.index_b): result for result in results}
-
-    # Pool path: construct every version once, publish one snapshot per
-    # policy, and fan the pair matrix out as snapshot references.
-    pool = get_pool(start_method)
+    pool = get_pool(start_method) if jobs > 1 and len(pairs) > 1 else None
     snapshot_ids: list[str] = []
     try:
         for fw in firewalls:
-            store = NodeStore()
-            root = construct_fdd_fast(fw, store, guard=parent).root
-            snapshot_id = pool.publish_snapshot(
-                None, payload=pickle.dumps((schema, root))
-            )
-            _SNAPSHOT_PAYLOADS[snapshot_id] = (schema, root)
-            snapshot_ids.append(snapshot_id)
+            root = construct_fdd_fast(fw, NodeStore(), guard=parent).root
+            snapshot_ids.append(_stage((schema, root), pool))
         tasks = [
             _SnapshotPairTask(
                 index_a=i,
                 index_b=j,
                 snapshot_id_a=snapshot_ids[i],
                 snapshot_id_b=snapshot_ids[j],
-                budget=parent.remaining_budget() if parent is not None else None,
                 fault=fault,
             )
             for i, j in pairs
         ]
-        if supervised:
-            results, pair_degradations, _failures = supervise(
-                _execute_snapshot_pair,
-                tasks,
-                jobs=jobs,
-                config=supervision,
-                start_method=start_method,
-                guard=parent,
-                rebudget=_make_rebudget(parent),
-                on_result=_make_on_result(parent),
-                pool=pool,
-            )
-            degraded_indices = {item.shard_index for item in pair_degradations}
-            results = [
-                replace(result, degraded=True)
-                if index in degraded_indices
-                else result
-                for index, result in enumerate(results)
-            ]
-        else:
-            results = pool.run(
-                _execute_snapshot_pair, tasks, jobs=jobs, guard=parent
-            )
-            for result in results:
-                if parent is not None and result.progress:
-                    parent.tick_nodes(result.progress.get("nodes_expanded", 0))
-                    parent.tick_splits(result.progress.get("edges_split", 0))
-                    parent.tick_discrepancies(
-                        result.progress.get("discrepancies_found", 0)
-                    )
+        results, degradations, _failures = _run_tasks(
+            _execute_snapshot_pair,
+            tasks,
+            jobs=jobs,
+            pool=pool,
+            parent=parent,
+            supervised=supervised,
+            supervision=supervision,
+        )
     finally:
         for snapshot_id in snapshot_ids:
-            pool.retire_snapshot(snapshot_id)
+            _retire(snapshot_id, pool)
+    for item in degradations:
+        results[item.shard_index] = replace(
+            results[item.shard_index], degraded=True
+        )
     return {(result.index_a, result.index_b): result for result in results}

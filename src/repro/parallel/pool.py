@@ -356,8 +356,8 @@ class WorkerPool:
         the per-worker pipe message is a few bytes), falling back to
         shipping the pickled bytes inline over each worker's pipe.  The
         parent's own registry keeps the live object, so in-process
-        execution (inline mode, the degraded serial fallback) never
-        deserializes at all.
+        execution (the degraded serial fallback) never deserializes at
+        all.
         """
         if payload is None:
             payload = pickle.dumps(obj)

@@ -117,7 +117,6 @@ class TestBudgetAcrossRetries:
             fw_a,
             fw_b,
             jobs=2,
-            inline=False,
             start_method="fork",
             budget=Budget(max_nodes=10**9),
             supervision=_FAST_RETRY,
@@ -135,7 +134,6 @@ class TestBudgetAcrossRetries:
             fw_a,
             fw_b,
             jobs=2,
-            inline=False,
             start_method="fork",
             budget=Budget(max_nodes=total),
             supervision=_FAST_RETRY,
@@ -153,8 +151,7 @@ class TestBudgetAcrossRetries:
                 fw_a,
                 fw_b,
                 jobs=2,
-                inline=False,
-                start_method="fork",
+                    start_method="fork",
                 budget=Budget(max_nodes=total - 1),
                 supervision=_FAST_RETRY,
                 chaos=ChaosPlan({(0, 0): ChaosAction("raise")}),
@@ -224,7 +221,6 @@ class TestDegradedExitCode:
                 return ChaosAction("kill")
 
         def chaotic(fw_a, fw_b, **kwargs):
-            kwargs.setdefault("inline", False)
             kwargs.setdefault("start_method", "fork")
             kwargs.setdefault("supervision", _FAST_RETRY)
             kwargs["chaos"] = _KillEverything()

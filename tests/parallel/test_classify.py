@@ -19,28 +19,36 @@ def setup():
 
 
 class TestInline:
+    """Chunked fan-out through the fork pool: every chunking keeps order,
+    and the empty and iterator inputs behave like a list."""
+
     def test_matches_serial_batch(self, setup):
         matcher, packets, expected = setup
-        assert classify_parallel(matcher, packets, jobs=2, inline=True) == expected
+        fanned = classify_parallel(matcher, packets, jobs=2, start_method="fork")
+        assert fanned == expected
 
     def test_uneven_chunking_preserves_order(self, setup):
         matcher, packets, expected = setup
         # 203 packets across 4 jobs: chunks of 51/51/51/50.
-        assert classify_parallel(matcher, packets, jobs=4, inline=True) == expected
+        fanned = classify_parallel(matcher, packets, jobs=4, start_method="fork")
+        assert fanned == expected
 
     def test_more_jobs_than_packets(self, setup):
         matcher, packets, expected = setup
         few = packets[:3]
-        assert classify_parallel(matcher, few, jobs=8, inline=True) == expected[:3]
+        assert (
+            classify_parallel(matcher, few, jobs=8, start_method="fork")
+            == expected[:3]
+        )
 
     def test_empty_batch(self, setup):
         matcher, _, _ = setup
-        assert classify_parallel(matcher, [], jobs=4, inline=True) == []
+        assert classify_parallel(matcher, [], jobs=4, start_method="fork") == []
 
     def test_iterable_input(self, setup):
         matcher, packets, expected = setup
         assert (
-            classify_parallel(matcher, iter(packets), jobs=2, inline=True)
+            classify_parallel(matcher, iter(packets), jobs=2, start_method="fork")
             == expected
         )
 

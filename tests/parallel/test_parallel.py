@@ -3,8 +3,10 @@
 The core correctness property is *summary parity*: the merged result of
 a sharded run must be byte-identical (as canonical JSON) to the serial
 engine's summary, for any shard count, including under guard budgets and
-injected faults.  Inline execution (no processes, identical math) makes
-that property-testable; small targeted tests then cover the real
+injected faults.  ``jobs=1`` runs the very task list the pool runs
+(pieces, then snapshot shards) serially in process, which makes that
+property testable; small targeted tests then check that the pool
+dispatcher gives the same answer and spend, and cover the real
 fork/spawn pools, budget aggregation, and exception transport.
 """
 
@@ -35,6 +37,7 @@ from repro.parallel import (
     compare_parallel,
     compare_sharded,
     comparison_summary,
+    get_pool,
     plan_shards,
     restrict_to_shard,
 )
@@ -133,7 +136,7 @@ class TestSummaryParity:
     @settings(max_examples=60, deadline=None)
     def test_sharded_summary_is_byte_identical_to_serial(self, fw_a, fw_b, jobs):
         serial = serial_summary(fw_a, fw_b)
-        par = compare_parallel(fw_a, fw_b, jobs=jobs, inline=True)
+        par = compare_sharded(fw_a, fw_b, plan_shards(fw_a, fw_b, jobs))
         assert canonical(par.summary()) == canonical(serial)
 
     @given(
@@ -142,7 +145,7 @@ class TestSummaryParity:
     )
     @settings(max_examples=30, deadline=None)
     def test_disputed_count_matches_brute_force(self, fw_a, fw_b):
-        par = compare_parallel(fw_a, fw_b, jobs=3, inline=True)
+        par = compare_sharded(fw_a, fw_b, plan_shards(fw_a, fw_b, 3))
         assert par.disputed_packets == len(brute_force_diff(fw_a, fw_b))
 
     @given(
@@ -152,8 +155,8 @@ class TestSummaryParity:
     @settings(max_examples=30, deadline=None)
     def test_discrepancy_volumes_match_serial(self, fw_a, fw_b):
         diff = compare_fast(fw_a, fw_b)
-        par = compare_parallel(
-            fw_a, fw_b, jobs=4, inline=True, enumerate_discrepancies=True
+        par = compare_sharded(
+            fw_a, fw_b, plan_shards(fw_a, fw_b, 4), enumerate_discrepancies=True
         )
         assert sum(d.size() for d in par.discrepancies) == sum(
             d.size() for d in diff.discrepancies()
@@ -168,7 +171,7 @@ class TestSummaryParity:
         fw_b = type(self)._const_fw(DISCARD, narrow=True)
         serial = serial_summary(fw_a, fw_b)
         for jobs in (2, 5):
-            par = compare_parallel(fw_a, fw_b, jobs=jobs, inline=True)
+            par = compare_sharded(fw_a, fw_b, plan_shards(fw_a, fw_b, jobs))
             assert canonical(par.summary()) == canonical(serial)
 
     @staticmethod
@@ -194,15 +197,18 @@ class TestGuardPropagation:
     def test_tiny_budget_trips(self):
         fw_a, fw_b = self._pair()
         with pytest.raises(BudgetExceededError) as excinfo:
-            compare_parallel(fw_a, fw_b, jobs=3, inline=True, budget=Budget(max_nodes=2))
+            compare_sharded(
+                fw_a, fw_b, plan_shards(fw_a, fw_b, 3), budget=Budget(max_nodes=2)
+            )
         assert excinfo.value.resource == "fdd-nodes"
 
     def test_aggregate_spend_is_enforced_across_shards(self):
         # Each shard individually fits in the budget, but their sum does
         # not: the merge-side re-ticking must trip.
         fw_a, fw_b = self._pair()
-        unguarded = compare_parallel(fw_a, fw_b, jobs=4, inline=True,
-                                     budget=Budget(max_nodes=10**9))
+        unguarded = compare_sharded(
+            fw_a, fw_b, plan_shards(fw_a, fw_b, 4), budget=Budget(max_nodes=10**9)
+        )
         total = unguarded.outcome["nodes_expanded"]
         per_shard = max(
             shard.progress["nodes_expanded"] for shard in unguarded.shards
@@ -217,20 +223,18 @@ class TestGuardPropagation:
                 fw_a,
                 fw_b,
                 plan_shards(fw_a, fw_b, 4),
-                jobs=4,
-                inline=True,
                 budget=Budget(max_nodes=total - 1),
             )
 
     def test_within_budget_outcome_aggregates_shard_spend(self):
         fw_a, fw_b = self._pair()
-        par = compare_parallel(
-            fw_a, fw_b, jobs=3, inline=True, budget=Budget(max_nodes=10**9)
+        par = compare_sharded(
+            fw_a, fw_b, plan_shards(fw_a, fw_b, 3), budget=Budget(max_nodes=10**9)
         )
         assert par.outcome is not None
         assert par.outcome["exhausted"] is None
-        # Inline mode constructs once on the parent guard, then re-ticks
-        # every shard's product-walk spend on merge.
+        # The piece tasks' construction spend ticks the parent first
+        # (``construction``), then every shard's product-walk spend.
         assert par.outcome["nodes_expanded"] == par.construction.get(
             "nodes_expanded", 0
         ) + sum(shard.progress["nodes_expanded"] for shard in par.shards)
@@ -251,7 +255,9 @@ class TestGuardPropagation:
         parallel_fault = FaultInjector()
         parallel_fault.arm("fast.rule", after=2)
         with pytest.raises(FaultInjectedError) as excinfo:
-            compare_parallel(fw_a, fw_b, jobs=3, inline=True, fault=parallel_fault)
+            compare_sharded(
+                fw_a, fw_b, plan_shards(fw_a, fw_b, 3), fault=parallel_fault
+            )
         assert excinfo.value.site == "fast.rule"
 
 
@@ -267,7 +273,7 @@ class TestProcessPools:
     def test_fork_pool_matches_serial(self):
         fw_a, fw_b = self._pair()
         par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="fork"
+            fw_a, fw_b, jobs=2, start_method="fork"
         )
         assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
 
@@ -276,7 +282,7 @@ class TestProcessPools:
         # objects (firewalls, budgets, tasks) are truly picklable.
         fw_a, fw_b = self._pair()
         par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="spawn"
+            fw_a, fw_b, jobs=2, start_method="spawn"
         )
         assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
 
@@ -287,7 +293,6 @@ class TestProcessPools:
                 fw_a,
                 fw_b,
                 jobs=2,
-                inline=False,
                 start_method="fork",
                 budget=Budget(max_nodes=2),
             )
@@ -303,7 +308,7 @@ class TestProcessPools:
 class TestCompareMany:
     def test_all_pairs_match_serial(self):
         team = [make_firewall(30 + i, 5) for i in range(4)]
-        results = compare_many(team, jobs=2, inline=True)
+        results = compare_many(team, jobs=1)
         assert set(results) == {
             (i, j) for i in range(4) for j in range(i + 1, 4)
         }
@@ -314,7 +319,92 @@ class TestCompareMany:
 
     def test_needs_two_firewalls(self):
         with pytest.raises(SchemaError):
-            compare_many([make_firewall(40)], inline=True)
+            compare_many([make_firewall(40)])
+
+
+# ----------------------------------------------------------------------
+# Dispatchers: jobs picks where the tasks run, never what they compute
+# ----------------------------------------------------------------------
+
+
+def _counters(progress: dict) -> dict:
+    """A guard's spend counters, without its wall-clock reading."""
+    return {key: value for key, value in progress.items() if key != "elapsed_s"}
+
+
+class TestDispatchers:
+    def test_compare_sharded_same_answer_and_spend(self):
+        fw_a, fw_b = make_firewall(91, 10), make_firewall(92, 10)
+        shards = plan_shards(fw_a, fw_b, 4)
+
+        def run(**options):
+            return compare_sharded(
+                fw_a,
+                fw_b,
+                shards,
+                budget=Budget(max_nodes=10**9),
+                enumerate_discrepancies=True,
+                **options,
+            )
+
+        pool = get_pool("fork")
+        before = pool.stats()["tasks_dispatched"]
+        serial = run(jobs=1)
+        assert pool.stats()["tasks_dispatched"] == before
+        pooled = run(jobs=2, start_method="fork")
+        assert pool.stats()["tasks_dispatched"] > before
+        assert canonical(serial.summary()) == canonical(pooled.summary())
+        assert serial.discrepancies == pooled.discrepancies
+        assert (
+            serial.outcome["nodes_expanded"] == pooled.outcome["nodes_expanded"]
+        )
+        assert _counters(serial.construction) == _counters(pooled.construction)
+        assert [_counters(shard.progress) for shard in serial.shards] == [
+            _counters(shard.progress) for shard in pooled.shards
+        ]
+
+    def test_compare_many_same_answer_and_spend(self):
+        team = [make_firewall(95 + i, 6) for i in range(3)]
+
+        def run(**options):
+            return {
+                key: (
+                    pair.by_decisions,
+                    pair.node_count,
+                    pair.path_count,
+                    _counters(pair.progress),
+                )
+                for key, pair in compare_many(
+                    team, budget=Budget(max_nodes=10**9), **options
+                ).items()
+            }
+
+        assert run(jobs=1) == run(jobs=2, start_method="fork")
+
+
+def _classify_none(fw_a, fw_b, jobs):
+    from repro.classify import compile_firewall
+    from repro.parallel import classify_parallel
+
+    return classify_parallel(compile_firewall(fw_a), [], jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fw_a, fw_b, jobs: compare_parallel(fw_a, fw_b, jobs=jobs),
+        lambda fw_a, fw_b, jobs: compare_sharded(
+            fw_a, fw_b, plan_shards(fw_a, fw_b, 2), jobs=jobs
+        ),
+        lambda fw_a, fw_b, jobs: compare_many([fw_a, fw_b], jobs=jobs),
+        _classify_none,
+    ],
+    ids=["compare_parallel", "compare_sharded", "compare_many", "classify_parallel"],
+)
+def test_jobs_below_one_is_rejected(call, jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        call(make_firewall(1), make_firewall(2), jobs)
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ class TestPoolReuse:
         expected = canonical(serial_summary(fw_a, fw_b))
         for _ in range(3):
             par = compare_parallel(
-                fw_a, fw_b, jobs=2, inline=False, start_method="fork"
+                fw_a, fw_b, jobs=2, start_method="fork"
             )
             assert canonical(par.summary()) == expected
         stats = get_pool("fork").stats()
@@ -54,9 +54,9 @@ class TestPoolReuse:
 
     def test_workers_survive_across_compare_many_calls(self):
         team = [make_firewall(70 + i, 6) for i in range(3)]
-        first = compare_many(team, jobs=2, inline=False, start_method="fork")
+        first = compare_many(team, jobs=2, start_method="fork")
         spawned_after_first = get_pool("fork").stats()["spawned_total"]
-        second = compare_many(team, jobs=2, inline=False, start_method="fork")
+        second = compare_many(team, jobs=2, start_method="fork")
         assert get_pool("fork").stats()["spawned_total"] == spawned_after_first
         assert {k: v.disputed_packets for k, v in first.items()} == {
             k: v.disputed_packets for k, v in second.items()
@@ -68,7 +68,7 @@ class TestPoolReuse:
         # a per-pair re-publish.
         team = [make_firewall(80 + i, 6) for i in range(4)]
         pairs = len(team) * (len(team) - 1) // 2
-        results = compare_many(team, jobs=2, inline=False, start_method="fork")
+        results = compare_many(team, jobs=2, start_method="fork")
         assert len(results) == pairs
         stats = get_pool("fork").stats()
         assert stats["snapshots_published"] == len(team), (
@@ -97,7 +97,7 @@ class TestPoolReuse:
         expected = canonical(serial_summary(fw_a, fw_b))
         for _ in range(2):
             par = compare_parallel(
-                fw_a, fw_b, jobs=2, inline=False, start_method="spawn"
+                fw_a, fw_b, jobs=2, start_method="spawn"
             )
             assert canonical(par.summary()) == expected
         stats = get_pool("spawn").stats()
@@ -113,7 +113,6 @@ class TestNoLeaks:
                 fw_a,
                 fw_b,
                 jobs=2,
-                inline=False,
                 start_method="fork",
                 budget=Budget(max_nodes=2),
             )
@@ -123,13 +122,13 @@ class TestNoLeaks:
         # The pool remains serviceable: the next comparison is correct
         # without a restart.
         par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="fork"
+            fw_a, fw_b, jobs=2, start_method="fork"
         )
         assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
 
     def test_snapshots_are_retired_after_success(self):
         fw_a, fw_b = _pair()
-        compare_parallel(fw_a, fw_b, jobs=2, inline=False, start_method="fork")
+        compare_parallel(fw_a, fw_b, jobs=2, start_method="fork")
         assert not _SNAPSHOT_DATA, "snapshot registry leaked entries"
         assert not _SNAPSHOT_OBJECTS, "live snapshot objects leaked"
         assert not get_pool("fork")._segments, "shared-memory segment leaked"
@@ -141,7 +140,6 @@ class TestNoLeaks:
                 fw_a,
                 fw_b,
                 jobs=2,
-                inline=False,
                 start_method="fork",
                 budget=Budget(max_nodes=2),
             )
@@ -162,7 +160,7 @@ class TestTransports:
         monkeypatch.setattr(shm, "SharedMemory", _unavailable)
         fw_a, fw_b = _pair()
         par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="fork"
+            fw_a, fw_b, jobs=2, start_method="fork"
         )
         assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
         assert get_pool("fork").stats()["snapshots_published"] >= 1
@@ -171,7 +169,7 @@ class TestTransports:
 class TestShutdown:
     def test_shutdown_is_graceful_and_restartable(self):
         fw_a, fw_b = _pair()
-        compare_parallel(fw_a, fw_b, jobs=2, inline=False, start_method="fork")
+        compare_parallel(fw_a, fw_b, jobs=2, start_method="fork")
         pool = get_pool("fork")
         workers = list(pool._workers)
         assert workers and all(w.alive() for w in workers)
@@ -185,7 +183,7 @@ class TestShutdown:
             assert worker.process.exitcode == 0
         # A fresh pool lazily restarts on the next call.
         par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="fork"
+            fw_a, fw_b, jobs=2, start_method="fork"
         )
         assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
         assert get_pool("fork").stats()["alive"] == 2
