@@ -489,7 +489,6 @@ def audit_fleet(
     cache: ResultCache | None = None,
     jobs: int = 1,
     sample_limit: int = DEFAULT_SAMPLE_LIMIT,
-    supervisor_config: Any = None,
     on_result: Callable[[PolicyAuditResult], None] | None = None,
 ) -> FleetAuditReport:
     """Audit every policy in ``manifest`` under ``checkset``.
@@ -545,18 +544,10 @@ def audit_fleet(
     if pending:
         outcomes: list[dict[str, Any] | None]
         if jobs > 1 and len(pending) > 1:
-            from repro.parallel import SupervisorConfig, supervise
+            from repro.parallel import supervise
 
-            config = (
-                supervisor_config
-                if supervisor_config is not None
-                else SupervisorConfig()
-            )
             raw, degraded, _failures = supervise(
-                _audit_worker,
-                [plan.task for plan in pending],
-                jobs=jobs,
-                config=config,
+                _audit_worker, [plan.task for plan in pending], jobs=jobs
             )
             outcomes = list(raw)
             degradations = [

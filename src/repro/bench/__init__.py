@@ -6,14 +6,12 @@ from repro.bench.harness import (
     Fig13Row,
     Fig13ParallelRow,
     GuardOverheadRow,
-    SupervisionOverheadRow,
     bench_scale,
     effectiveness_experiment,
     fig12_experiment,
     fig13_experiment,
     fig13_parallel_experiment,
     guard_overhead_experiment,
-    supervision_overhead_experiment,
 )
 from repro.bench.reporting import banner, render_series, render_table
 from repro.bench.trajectory import (
@@ -39,7 +37,6 @@ __all__ = [
     "Fig13ParallelRow",
     "GuardOverheadRow",
     "PhaseTimings",
-    "SupervisionOverheadRow",
     "Regression",
     "banner",
     "bench_scale",
@@ -53,7 +50,6 @@ __all__ = [
     "machine_fingerprint",
     "render_series",
     "render_table",
-    "supervision_overhead_experiment",
     "timed_comparison",
     "timed_fast_comparison",
     "trajectory_payload",

@@ -41,8 +41,6 @@ __all__ = [
     "effectiveness_experiment",
     "GuardOverheadRow",
     "guard_overhead_experiment",
-    "SupervisionOverheadRow",
-    "supervision_overhead_experiment",
 ]
 
 
@@ -601,162 +599,6 @@ def guard_overhead_experiment(
                 overhead_pct=(guarded_best - unguarded_best) / unguarded_best * 100.0,
                 identical_output=guarded_result == baseline,
                 outcome=outcome,
-            )
-        )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Supervision overhead — supervised pool vs bare pool, fault-free
-# ----------------------------------------------------------------------
-
-
-def _cpu_seconds() -> float:
-    """CPU seconds consumed by this process and its reaped children."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover — non-POSIX fallback
-        return time.process_time()
-    own = resource.getrusage(resource.RUSAGE_SELF)
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
-
-
-@dataclass(frozen=True)
-class SupervisionOverheadRow:
-    """Supervised vs bare-pool cost on one configuration.
-
-    Timings are **CPU milliseconds** — the benchmarking process plus its
-    reaped worker processes — not wall clock (see
-    :func:`supervision_overhead_experiment` for why).
-    ``bare_ms``/``supervised_ms`` are medians over the order-alternated
-    samples; ``overhead_pct`` is the median of the per-block *paired*
-    supervised/bare ratios.
-
-    ``degradations`` counts shards that fell back to serial execution in
-    the supervised run — any non-zero value means the measurement was
-    not fault-free and the overhead number is meaningless.
-    """
-
-    workload: str
-    jobs: int
-    trials: int
-    bare_ms: float
-    supervised_ms: float
-    overhead_pct: float
-    identical_output: bool
-    degradations: int
-
-
-def supervision_overhead_experiment(
-    *, trials: int | None = None, seed: int = 13
-) -> list[SupervisionOverheadRow]:
-    """Measure the supervised pool's fault-free overhead.
-
-    Runs the Fig. 13 workload through :func:`repro.parallel.compare_parallel`
-    twice per configuration — once through the supervised pool
-    (``supervised=True``, the default) and once through the bare pool
-    (``supervised=False``, no heartbeats / retry / checksums) — pairing
-    the two timings within each trial and taking the median of the
-    order-balanced per-block ratios.  Target: <2% overhead when no fault
-    fires (see ``docs/performance.md``); the supervision machinery lives
-    on the parent's event loop and the workers' heartbeat threads, off
-    the comparison hot path.
-
-    Cost is measured in **CPU time** (this process + reaped workers),
-    not wall clock: supervision's footprint is polling loops, heartbeat
-    threads, and checksums — all CPU — while wall clock on a shared
-    machine carries co-tenant noise far above the 2% target.
-
-    Configurations:
-
-    * ``jobs1-inline`` — ``jobs=1`` runs every task serially in the
-      calling process on both paths; the supervisor must never engage,
-      so this row certifies single-process behaviour is unchanged;
-    * ``jobs4-fanout`` — four-way process fan-out, supervised pool vs
-      bare pool on identical shard tasks.
-    """
-    import gc
-
-    from repro.parallel import compare_parallel
-
-    if trials is None:
-        trials = 10 if bench_scale() == "paper" else 4
-    size = 200 if bench_scale() == "paper" else 60
-    fw_a, fw_b = generate_firewall_pair(size, seed=seed)
-
-    configurations = [("jobs1-inline", 1), ("jobs4-fanout", 4)]
-    rows: list[SupervisionOverheadRow] = []
-    for name, jobs in configurations:
-
-        def run(supervised: bool):
-            return compare_parallel(fw_a, fw_b, jobs=jobs, supervised=supervised)
-
-        # Warm-up pair (untimed) doubles as the output-parity evidence.
-        bare_result = run(False)
-        supervised_result = run(True)
-        identical = supervised_result.summary() == bare_result.summary()
-
-        # Calibrate iterations so each timing sample covers >= ~400 ms;
-        # the 2% bar is unreadable through timer noise on tiny samples,
-        # and process fan-out adds spawn jitter that only in-sample
-        # averaging damps.
-        start = time.perf_counter()
-        run(False)
-        single_s = time.perf_counter() - start
-        iterations = max(2, round(0.4 / max(single_s, 1e-9)))
-
-        def sample_ms(supervised: bool) -> float:
-            # Samples are CPU time — this process plus its reaped
-            # workers (both pools join their processes before
-            # returning) — not wall clock: on a shared box, co-tenant
-            # bursts steal wall time from whichever variant is running
-            # but add nothing to our processes' CPU, and the 2% bar is
-            # invisible under that noise.  Collect between samples (not
-            # during): a GC pause inside the timed region is real CPU.
-            gc.collect()
-            gc.disable()
-            try:
-                start = _cpu_seconds()
-                for _ in range(iterations):
-                    run(supervised)
-                return (_cpu_seconds() - start) * 1000 / iterations
-            finally:
-                gc.enable()
-
-        # Paired trials, order-balanced blocks: machine noise here (a
-        # shared single-CPU box) dwarfs the overhead being measured.
-        # Each trial times both variants back-to-back, which cancels
-        # slow drift within the pair — but the second sample of a pair
-        # is measurably slower on this box, so a block of two trials
-        # runs the pair in both orders and takes the geometric mean of
-        # the two ratios: a positional factor ``b`` enters one ratio as
-        # ``*b`` and the other as ``/b`` and cancels exactly.  The
-        # median over blocks then shrugs off the occasional trial that
-        # caught a background burp.
-        bare_samples: list[float] = []
-        supervised_samples: list[float] = []
-        ratios: list[float] = []
-        for _block in range(max(1, trials // 2)):
-            bare_first = sample_ms(False)
-            sup_second = sample_ms(True)
-            sup_first = sample_ms(True)
-            bare_second = sample_ms(False)
-            bare_samples += [bare_first, bare_second]
-            supervised_samples += [sup_second, sup_first]
-            ratios.append(
-                ((sup_second / bare_first) * (sup_first / bare_second)) ** 0.5
-            )
-        rows.append(
-            SupervisionOverheadRow(
-                workload=name,
-                jobs=jobs,
-                trials=trials,
-                bare_ms=statistics.median(bare_samples),
-                supervised_ms=statistics.median(supervised_samples),
-                overhead_pct=(statistics.median(ratios) - 1.0) * 100.0,
-                identical_output=identical,
-                degradations=len(supervised_result.degradations),
             )
         )
     return rows

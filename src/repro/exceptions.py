@@ -217,12 +217,13 @@ class CancelledError(GuardError):
 
 
 class SupervisionError(GuardError):
-    """A supervised shard failed permanently and degradation was refused.
+    """A pool worker's exception could not cross the pipe.
 
-    Raised by :func:`repro.parallel.supervise` when a shard exhausts its
-    retry budget and the supervisor was configured with
-    ``degrade=False`` — callers that prefer a hard failure over a silent
-    serial fallback get the final failure's classification:
+    Raised by the pool worker loop (:mod:`repro.parallel.pool`) in place
+    of a task exception that does not pickle, so the supervisor still
+    receives a classified ``worker-error`` reply.  A shard that exhausts
+    its retries never raises it: the supervisor re-runs that shard in
+    the parent.  Attributes:
 
     ``shard``
         Index of the shard that could not be completed, if known.

@@ -9,27 +9,28 @@ pair per task.  See :mod:`repro.parallel.engine` for the merge argument
 and guard-budget propagation rules, and ``docs/performance.md`` for
 measured numbers.
 
-Process fan-out is crash-resilient: dispatch runs through
-:func:`supervise` (per-shard deadlines, heartbeat hang detection,
-bounded retry with backoff, checksummed result envelopes), and a shard
-whose retries are exhausted degrades to serial in-parent execution,
-recorded as a :class:`Degradation` on the merged result — see
-``docs/robustness.md`` for the state machine.
+Process fan-out is crash-resilient, and there is one dispatch path:
+every task that reaches a worker goes through :func:`supervise`
+(per-shard deadlines, heartbeat hang detection, bounded retry with
+backoff, checksummed result envelopes), and a shard whose retries are
+exhausted degrades to serial in-parent execution, recorded as a
+:class:`Degradation` — see ``docs/robustness.md`` for the state machine.
 
 Workers live in a persistent, lazily-started pool
 (:mod:`repro.parallel.pool`) shared by every fan-out in the process —
 comparison shards, ``compare_many`` pairs, audit fleets, and batch
-classification all lease from the same :class:`WorkerPool`, amortizing
-process start cost across calls.  Large shared inputs (node-graph
-snapshots, compiled matchers) are published to the pool once per call
-and shipped to each worker at most once, via shared memory when the
-platform provides it.  :func:`shutdown_pools` tears the workers down
+classification all lease from the same :class:`WorkerPool` through the
+supervisor, amortizing process start cost across calls.  Large shared
+inputs (node-graph snapshots, compiled matchers) are published to the
+pool once per call and shipped to each worker at most once, via shared
+memory when the platform provides it.  :func:`shutdown_pools` tears the workers down
 gracefully (the CLI calls it on exit); :func:`get_pool` exposes the
 pool for stats and warm-up.
 
-:func:`classify_parallel` reuses the same fan-out for serving-side
-batch classification: workers receive a published compiled matcher
-snapshot (:mod:`repro.classify`), never policy sources.
+:func:`classify_parallel` reuses the same supervised fan-out for
+serving-side batch classification: workers receive a published
+compiled matcher snapshot (:mod:`repro.classify`), never policy
+sources.
 """
 
 from repro.parallel.classify import classify_parallel

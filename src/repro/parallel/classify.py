@@ -9,11 +9,14 @@ the snapshot on first use and cache it until the parent retires it,
 and each worker rebuilds its vectorized batch kernel locally (the
 kernel is a derived cache and deliberately never pickles).
 
-The fan-out reuses the comparison engine's pool runner, so deadline
-checkpoints of a parent guard are honoured while waiting on workers.
-With one chunk (``jobs=1``, the default on a single-core box, or a
-batch of at most one packet) the call classifies in process without
-touching the pool.
+Chunks dispatch through :func:`~repro.parallel.supervisor.supervise`,
+like every other fan-out: a chunk whose worker crashes, hangs or
+returns a corrupted envelope is retried and, when its retries run out,
+classified in the parent, and a parent guard's deadline and
+cancellation are checkpointed while waiting on workers.  With one
+chunk (``jobs=1``, the default on a single-core box, or a batch of at
+most one packet) the call classifies in process without touching the
+pool.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.fields import Packet
 from repro.guard import GuardContext
 from repro.parallel.engine import _resolve_jobs
 from repro.parallel.pool import get_pool, resolve_snapshot
+from repro.parallel.supervisor import supervise
 from repro.policy.decision import Decision
 
 __all__ = ["classify_parallel"]
@@ -63,9 +67,10 @@ def classify_parallel(
     decisions — the result is elementwise identical to
     ``matcher.classify_batch``.  ``jobs`` defaults to the CPU count and
     must be at least 1; a batch that makes one chunk (``jobs=1``, or at
-    most one packet) is classified in process.  ``guard`` is
-    checkpointed while awaiting workers so parent deadlines and
-    cancellation still bite.
+    most one packet) is classified in process.  Dispatch is supervised,
+    so a chunk whose worker dies is retried or re-run in the parent;
+    ``guard`` is checkpointed while awaiting workers so parent deadlines
+    and cancellation still bite.
     """
     if not isinstance(packets, (list, tuple)):
         packets = list(packets)
@@ -83,7 +88,9 @@ def classify_parallel(
             end = start + size + (1 if i < extra else 0)
             tasks.append(_ClassifyTask(snapshot_id, tuple(packets[start:end])))
             start = end
-        results = pool.run(_classify_worker, tasks, jobs=jobs, guard=guard)
+        results, _degradations, _failures = supervise(
+            _classify_worker, tasks, jobs=jobs, guard=guard, pool=pool
+        )
     finally:
         pool.retire_snapshot(snapshot_id)
     return [decision for chunk in results for decision in chunk]

@@ -41,8 +41,8 @@ Every run executes one pipeline of three task lists, whatever ``jobs``:
 ``jobs`` only picks the dispatcher (:func:`_run_tasks`): ``jobs == 1``
 (or a one-shard plan) runs the task lists serially in the parent;
 otherwise they go to the persistent worker pool
-(:mod:`repro.parallel.pool`), **supervised** by default —
-:func:`repro.parallel.supervisor.supervise` detects crashed/hung
+(:mod:`repro.parallel.pool`) through
+:func:`repro.parallel.supervisor.supervise`, which detects crashed/hung
 workers and corrupted result envelopes, retries with backoff, and when
 retries are exhausted re-executes the task serially in the parent,
 recording a :class:`~repro.parallel.supervisor.Degradation` on the
@@ -664,8 +664,7 @@ def _run_tasks(
     jobs: int,
     pool: WorkerPool | None,
     parent: GuardContext | None,
-    supervised: bool,
-    supervision: SupervisorConfig | None,
+    supervision: SupervisorConfig | None = None,
     weight=None,
     chaos=None,
 ) -> tuple[list, tuple[Degradation, ...], tuple[ShardFailure, ...]]:
@@ -674,11 +673,9 @@ def _run_tasks(
     Tasks go heaviest-first by ``weight`` (longest-processing-time
     order), and run serially in the parent when ``pool`` is ``None`` or
     there is at most one task, else through :func:`supervise` over
-    ``jobs`` pool workers (``supervised=False``: the bare
-    :meth:`~repro.parallel.pool.WorkerPool.run`, kept for overhead
-    benchmarking).  Whichever runs them, every task is handed the
-    parent's remaining budget at dispatch and every completed result
-    ticks the parent as it arrives.  Returns ``(results, degradations,
+    ``jobs`` pool workers.  Whichever runs them, every task is handed
+    the parent's remaining budget at dispatch and every completed
+    result ticks the parent as it arrives.  Returns ``(results, degradations,
     failures)`` with results in task order and the supervision records'
     indices remapped from dispatch order to task order.
     """
@@ -707,7 +704,7 @@ def _run_tasks(
         for task in dispatched:
             results.append(worker(rebudget(task)))
             on_result(results[-1])
-    elif supervised:
+    else:
         results, degradations, failures = supervise(
             worker,
             dispatched,
@@ -719,12 +716,6 @@ def _run_tasks(
             chaos=chaos,
             pool=pool,
         )
-    else:
-        results = pool.run(
-            worker, [rebudget(task) for task in dispatched], jobs=jobs, guard=parent
-        )
-        for result in results:
-            on_result(result)
     in_order: list = [None] * len(tasks)
     for index, result in zip(order, results):
         in_order[index] = result
@@ -776,7 +767,7 @@ class ParallelComparison:
     #: wave (``shard_wall_ms``).  Filled whichever dispatcher ran.
     phase_ms: dict = field(default_factory=dict)
     #: Tasks that exhausted their retries and were re-executed serially
-    #: in the parent (supervised pool dispatch only).  The merged numbers stay
+    #: in the parent (pool dispatch only).  The merged numbers stay
     #: exact — a degradation records a loss of parallelism, not of
     #: correctness — but callers (and the CLI, exit code 5) surface it.
     degradations: tuple[Degradation, ...] = ()
@@ -850,7 +841,6 @@ def compare_sharded(
     enumerate_discrepancies: bool = False,
     discrepancy_limit: int | None = None,
     start_method: str | None = None,
-    supervised: bool = True,
     supervision: SupervisorConfig | None = None,
     chaos=None,
 ) -> ParallelComparison:
@@ -865,10 +855,11 @@ def compare_sharded(
     process, otherwise on ``jobs`` workers of the persistent pool for
     ``start_method`` — with the same answer and the same guard spend.
 
-    Pool dispatch is supervised by default: ``supervision`` tunes its
-    retry/deadline/heartbeat policy, and ``supervised=False`` selects
-    the bare pool (no crash recovery — kept for overhead benchmarking).
-    ``chaos`` is a test-only :class:`repro.chaos.ChaosPlan` injecting
+    Pool dispatch always runs through :func:`supervise`: a task whose
+    worker crashes, hangs or corrupts its result is retried and, once
+    its retries run out, re-run in the parent and recorded in
+    ``degradations``.  ``supervision`` tunes the retry/deadline/heartbeat
+    policy.  ``chaos`` is a test-only :class:`repro.chaos.ChaosPlan` injecting
     faults into the construction-piece workers.
     """
     if fw_a.schema != fw_b.schema:
@@ -881,7 +872,6 @@ def compare_sharded(
         jobs=jobs,
         pool=pool,
         parent=parent,
-        supervised=supervised,
         supervision=supervision,
     )
     phase_ms: dict = {}
@@ -967,7 +957,6 @@ def compare_parallel(
     enumerate_discrepancies: bool = False,
     discrepancy_limit: int | None = None,
     start_method: str | None = None,
-    supervised: bool = True,
     supervision: SupervisorConfig | None = None,
     chaos=None,
 ) -> ParallelComparison:
@@ -1003,7 +992,6 @@ def compare_parallel(
         enumerate_discrepancies=enumerate_discrepancies,
         discrepancy_limit=discrepancy_limit,
         start_method=start_method,
-        supervised=supervised,
         supervision=supervision,
         chaos=chaos,
     )
@@ -1016,8 +1004,6 @@ def compare_many(
     budget: Budget | None = None,
     fault: FaultInjector | None = None,
     start_method: str | None = None,
-    supervised: bool = True,
-    supervision: SupervisorConfig | None = None,
 ) -> dict[tuple[int, int], PairComparison]:
     """All pairwise comparisons of ``t`` team versions, concurrently.
 
@@ -1033,9 +1019,9 @@ def compare_many(
     snapshot ids.  ``jobs`` only picks where the pair tasks run:
     ``jobs=1`` serially in the calling process, otherwise on the
     persistent pool, where each worker deserializes a policy at most
-    once however many of its pairs it executes.  Pool dispatch runs
-    supervised by default; a pair whose worker dispatches all failed is
-    re-run serially and returned with ``degraded=True``.
+    once however many of its pairs it executes.  Pool dispatch is
+    supervised; a pair whose worker dispatches all failed is re-run
+    serially and returned with ``degraded=True``.
     """
     if len(firewalls) < 2:
         raise SchemaError("cross comparison needs at least two firewalls")
@@ -1072,8 +1058,6 @@ def compare_many(
             jobs=jobs,
             pool=pool,
             parent=parent,
-            supervised=supervised,
-            supervision=supervision,
         )
     finally:
         for snapshot_id in snapshot_ids:

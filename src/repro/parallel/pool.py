@@ -22,10 +22,6 @@ across every comparison in the process:
   most once; tasks then carry only a snapshot id.  Workers resolve and
   deserialize lazily (:func:`resolve_snapshot`) and cache the object
   until the parent retires the snapshot.
-* **Event-driven waiting.**  :meth:`WorkerPool.run` (the unsupervised
-  fan-out) blocks on ``multiprocessing.connection.wait`` over the worker
-  pipes instead of polling ``AsyncResult.ready()`` in a sleep loop, so
-  the parent no longer burns a core the shards need.
 * **Graceful completion.**  On success workers are *released* back to
   the pool, never terminated — SIGTERM-on-success used to truncate
   coverage/profiling atexit hooks in workers under CI.  Workers are
@@ -34,9 +30,12 @@ across every comparison in the process:
   :func:`shutdown_pools`, which first asks idle workers to exit via a
   sentinel and joins them.
 
-Heartbeats (used by the supervisor's hang detection) are sent only while
-a worker is executing a task, so an idle pooled worker never floods its
-pipe between comparisons.
+The pool only manages processes and snapshots: every task reaches a
+worker through :func:`repro.parallel.supervisor.supervise`, which owns
+the dispatch loop, retries and the in-parent fallback.  Heartbeats (used
+by the supervisor's hang detection) are sent only while a worker is
+executing a task, so an idle pooled worker never floods its pipe between
+comparisons.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ import threading
 import time
 
 from repro.exceptions import SupervisionError
-from repro.guard import GuardContext
 
 __all__ = [
     "WorkerPool",
@@ -406,92 +404,6 @@ class WorkerPool:
             except Exception:
                 pass
         _drop_snapshot(snapshot_id)
-
-    # ------------------------------------------------------------------
-    # Unsupervised fan-out (the bare pool path)
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        func,
-        tasks: list,
-        *,
-        jobs: int,
-        guard: GuardContext | None = None,
-        heartbeat_interval_s: float = 0.1,
-    ) -> list:
-        """Run ``func`` over ``tasks`` across leased workers, unsupervised.
-
-        Event-driven: blocks on ``connection.wait`` over the leased
-        workers' pipes (no polling sleep), checkpointing ``guard`` while
-        waiting so parent deadlines and cancellation still bite.  The
-        first worker error (or a dead worker) aborts the wave: busy
-        workers are killed — their late replies must not leak into the
-        next dispatch — idle ones are released, and the error re-raises.
-        On success every worker is released back to the pool alive.
-        """
-        from multiprocessing.connection import wait as wait_connections
-
-        if not tasks:
-            return []
-        leased = [self.lease() for _ in range(min(jobs, len(tasks)))]
-        next_task = 0
-        results: dict[int, object] = {}
-        try:
-            def dispatch(worker: PoolWorker, index: int) -> None:
-                self.ensure_shipped(worker, getattr(tasks[index], "snapshot_ids", ()))
-                worker.conn.send(
-                    ("task", index, func, tasks[index], None, heartbeat_interval_s)
-                )
-                worker.current = (index, 0)
-                self.tasks_dispatched += 1
-
-            for worker in leased:
-                if next_task >= len(tasks):
-                    break
-                dispatch(worker, next_task)
-                next_task += 1
-            while len(results) < len(tasks):
-                if guard is not None:
-                    guard.checkpoint("parallel.wait")
-                busy = [w for w in leased if w.current is not None]
-                if not busy:
-                    raise SupervisionError(
-                        "unsupervised pool stalled with tasks outstanding",
-                        reason="worker-crash",
-                    )
-                for conn in wait_connections([w.conn for w in busy], 0.05):
-                    worker = next(w for w in busy if w.conn is conn)
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        raise SupervisionError(
-                            "worker process died mid-task (unsupervised pool)",
-                            reason="worker-crash",
-                        ) from None
-                    if message[0] == "hb":
-                        continue
-                    kind, index, payload, digest = message
-                    worker.current = None
-                    if _checksum(payload) != digest:
-                        raise SupervisionError(
-                            "result envelope checksum mismatch",
-                            shard=index,
-                            reason="corrupt-result",
-                        )
-                    value = pickle.loads(payload)
-                    if kind == "err":
-                        raise value
-                    results[index] = value
-                    if next_task < len(tasks):
-                        dispatch(worker, next_task)
-                        next_task += 1
-            return [results[index] for index in range(len(tasks))]
-        finally:
-            for worker in leased:
-                if worker.current is not None:
-                    self.discard(worker)
-                else:
-                    self.release(worker)
 
     # ------------------------------------------------------------------
     # Introspection / teardown

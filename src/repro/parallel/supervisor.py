@@ -1,11 +1,11 @@
 """Supervised worker pools: crash-resilient parallel execution.
 
-The plain fan-out pool (:meth:`repro.parallel.pool.WorkerPool.run`)
-trusts its workers: a worker that is SIGKILLed mid-shard leaves its
-result forever pending, a worker that hangs stalls the whole comparison,
-and a result corrupted in transit would be merged as if it were true.
-This module replaces that trust with **supervision** — the property that
-every dispatched shard reaches exactly one of two terminal states,
+:func:`supervise` is the only way work reaches a pool worker — comparison
+shards, ``compare_many`` pairs, audit fleets and batch classification
+all dispatch through it.  A worker that is SIGKILLed mid-shard, hangs,
+or returns a result corrupted in transit must not lose or falsify that
+shard, so dispatch is **supervised** — every dispatched shard reaches
+exactly one of two terminal states,
 *completed* (an integrity-checked result merged into the report) or
 *degraded* (re-executed serially in the parent, recorded and visible),
 no matter what the worker process does in between.
@@ -73,11 +73,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from repro.exceptions import (
-    BudgetExceededError,
-    CancelledError,
-    SupervisionError,
-)
+from repro.exceptions import BudgetExceededError, CancelledError
 from repro.guard import GuardContext
 from repro.parallel.pool import PoolWorker, WorkerPool, _checksum, get_pool
 
@@ -102,9 +98,7 @@ class SupervisorConfig:
 
     ``max_retries`` bounds re-dispatches per shard (attempt 0 plus up to
     ``max_retries`` retries); after that the shard degrades to the
-    in-process serial fallback (or raises
-    :class:`~repro.exceptions.SupervisionError` when ``degrade`` is
-    False).  Backoff before retry ``k`` (1-based) is
+    in-process serial fallback.  Backoff before retry ``k`` (1-based) is
     ``backoff_base_s * backoff_factor**k``, stretched by a deterministic
     jitter in ``[0, backoff_jitter]`` seeded from
     ``(seed, shard, attempt)`` — reproducible, but de-synchronized.
@@ -126,9 +120,6 @@ class SupervisorConfig:
     heartbeat_interval_s: float = 0.1
     #: Stale-heartbeat threshold that declares a busy worker hung.
     heartbeat_timeout_s: float | None = 5.0
-    #: Fall back to in-process serial execution after retries (True) or
-    #: raise :class:`~repro.exceptions.SupervisionError` (False).
-    degrade: bool = True
     #: Seed for the deterministic backoff jitter.
     seed: int = 0
 
@@ -215,9 +206,9 @@ def supervise(
     ``(shard, attempt)`` dispatch.
 
     Returns ``(results, degradations, failures)`` with ``results`` in
-    task order.  Raises the worker's own exception for fatal errors, or
-    :class:`~repro.exceptions.SupervisionError` when a shard exhausts
-    its retries and ``config.degrade`` is False.
+    task order.  Raises the worker's own exception for fatal errors; a
+    shard that exhausts its retries re-runs serially in the parent, so
+    any other error surfaces from that fallback.
     """
     config = config if config is not None else SupervisorConfig()
     if not tasks:
@@ -259,14 +250,6 @@ def supervise(
             not_before = time.monotonic() + config.backoff_s(index, next_attempt)
             delayed.append((not_before, index, next_attempt))
             return
-        if not config.degrade:
-            raise SupervisionError(
-                f"shard {index} failed after {next_attempt} attempt(s):"
-                f" {reason}" + (f" ({detail})" if detail else ""),
-                shard=index,
-                reason=reason,
-                attempts=next_attempt,
-            )
         # Graceful degradation: the shard re-runs serially in *this*
         # process under whatever guard budget remains.  Surviving
         # workers keep computing their shards meanwhile.

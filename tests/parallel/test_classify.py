@@ -1,13 +1,45 @@
-"""Parallel classification: artifact shipping and in-order merging."""
+"""Parallel classification: artifact shipping, in-order merging, and
+supervised dispatch."""
 
+import os
 import pickle
+import signal
+import time
 
 import pytest
 
 from repro.classify import compile_firewall
+from repro.exceptions import BudgetExceededError, CancelledError
 from repro.fields import PacketSampler
-from repro.parallel import classify_parallel
+from repro.guard import Budget, GuardContext
+from repro.parallel import classify_parallel, get_pool
 from repro.synth import SyntheticFirewallGenerator
+
+
+def _first_visit(marker: str) -> bool:
+    """Atomically claim ``marker``; True for exactly one caller ever."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        return True
+    except FileExistsError:
+        return False
+
+
+class _KillOnceMatcher:
+    """A matcher whose first ``classify_batch`` call SIGKILLs its process.
+
+    Module-level so it pickles into the published snapshot; the marker
+    file is the only state a killed worker leaves behind.
+    """
+
+    def __init__(self, matcher, marker: str):
+        self.matcher = matcher
+        self.marker = marker
+
+    def classify_batch(self, packets):
+        if _first_visit(self.marker):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return self.matcher.classify_batch(packets)
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +95,33 @@ class TestPool:
         matcher, packets, expected = setup
         clone = pickle.loads(pickle.dumps(matcher))
         assert classify_parallel(clone, packets, jobs=2) == expected
+
+
+class TestSupervised:
+    def test_worker_crash_is_recovered(self, setup, tmp_path):
+        matcher, packets, expected = setup
+        crashing = _KillOnceMatcher(matcher, str(tmp_path / "killed"))
+        fanned = classify_parallel(crashing, packets, jobs=2, start_method="fork")
+        assert fanned == expected
+        assert (tmp_path / "killed").exists()
+        assert get_pool("fork").stats()["busy"] == 0
+
+    def test_cancelled_guard_raises(self, setup):
+        matcher, packets, _ = setup
+        guard = GuardContext(Budget())
+        guard.cancel()
+        with pytest.raises(CancelledError):
+            classify_parallel(
+                matcher, packets, jobs=2, start_method="fork", guard=guard
+            )
+        assert get_pool("fork").stats()["busy"] == 0
+
+    def test_expired_guard_raises(self, setup):
+        matcher, packets, _ = setup
+        guard = GuardContext(Budget(deadline_s=0.001))
+        time.sleep(0.01)
+        with pytest.raises(BudgetExceededError):
+            classify_parallel(
+                matcher, packets, jobs=2, start_method="fork", guard=guard
+            )
+        assert get_pool("fork").stats()["busy"] == 0

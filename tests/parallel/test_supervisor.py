@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.exceptions import BudgetExceededError, SupervisionError
+from repro.exceptions import BudgetExceededError
 from repro.parallel import Degradation, SupervisorConfig, supervise
 
 # ----------------------------------------------------------------------
@@ -58,8 +58,17 @@ def _succeed_only_in_process(task):
     return value + 1
 
 
-def _always_raise(task):
-    raise ValueError(f"worker refuses task {task!r}")
+class _UnpicklableError(Exception):
+    def __init__(self):
+        super().__init__("carries a lambda")
+        self.callback = lambda: None
+
+
+def _unpicklable_error_outside_parent(task):
+    value, pid = task
+    if os.getpid() != pid:
+        raise _UnpicklableError()
+    return value + 1
 
 
 def _raise_budget_error(task):
@@ -174,21 +183,20 @@ class TestDegradation:
         # Every dispatch failed before the fallback: 2 shards x 2 attempts.
         assert len(failures) == 4
 
-    def test_degrade_false_raises_supervision_error(self):
-        with pytest.raises(SupervisionError) as excinfo:
-            supervise(
-                _always_raise,
-                ["t0"],
-                jobs=1,
-                config=SupervisorConfig(
-                    max_retries=0, backoff_base_s=0.01, degrade=False
-                ),
-                start_method="fork",
-            )
-        error = excinfo.value
-        assert error.shard == 0
-        assert error.reason == "worker-error"
-        assert error.attempts == 1
+    def test_unpicklable_worker_error_is_wrapped_and_degrades(self):
+        # The worker loop replaces an exception that does not pickle
+        # with a SupervisionError, so the failure is still classified.
+        results, degradations, failures = supervise(
+            _unpicklable_error_outside_parent,
+            [(5, os.getpid())],
+            jobs=2,
+            config=SupervisorConfig(max_retries=0, backoff_base_s=0.01),
+            start_method="fork",
+        )
+        assert results == [6]
+        assert [d.reason for d in degradations] == ["worker-error"]
+        assert "SupervisionError" in failures[0].detail
+        assert "did not pickle" in failures[0].detail
 
 
 class TestFatalErrors:
