@@ -6,9 +6,10 @@ gateway's iptables policy must move to a Cisco router.  One engineer
 rewrites the config by hand; the comparison pipeline then proves the
 rewrite equivalent — or lists exactly the traffic it changed.
 
-The script imports both configs (``repro.policy.imports``), compares
+The script imports both configs (``parse_policy``), compares
 them, shows the (deliberately injected) migration mistake, fixes it by
-patching, and exports the verified result back to Cisco syntax.
+patching, and exports the verified result back to Cisco syntax
+(``emit_policy``).
 
 Run:  python examples/device_migration.py
 """
@@ -16,7 +17,7 @@ Run:  python examples/device_migration.py
 from repro import compare_firewalls, aggregate_discrepancies, format_discrepancy_table
 from repro.analysis import prefer_team, resolve_by_corrected_fdd
 from repro.fdd import semantic_fingerprint
-from repro.policy import from_cisco_acl, from_iptables, to_cisco_acl
+from repro.policy import emit_policy, parse_policy
 
 IPTABLES_CONFIG = """
 *filter
@@ -47,8 +48,8 @@ ip access-list extended GATEWAY
 
 
 def main() -> None:
-    old = from_iptables(IPTABLES_CONFIG, name="iptables gateway")
-    new = from_cisco_acl(CISCO_CONFIG, name="cisco draft")
+    old = parse_policy(IPTABLES_CONFIG, "iptables", name="iptables gateway").to_firewall()
+    new = parse_policy(CISCO_CONFIG, "cisco", name="cisco draft").to_firewall()
 
     print(f"fingerprints: old={semantic_fingerprint(old)[:16]}..."
           f" new={semantic_fingerprint(new)[:16]}...")
@@ -73,7 +74,7 @@ def main() -> None:
     print(f"  fingerprint(old)   = {semantic_fingerprint(old)[:16]}...")
     print(f"  fingerprint(fixed) = {semantic_fingerprint(fixed)[:16]}...")
     print("\nverified Cisco configuration:")
-    print(to_cisco_acl(fixed, name="GATEWAY"))
+    print(emit_policy(fixed, "cisco", name="GATEWAY"))
 
 
 if __name__ == "__main__":

@@ -3,18 +3,16 @@
 Al-Shaer & Hamed's anomaly taxonomy classifies ordered rule pairs.  The
 paper notes these anomalies "are subjectively defined and may not be
 deemed as errors" (Section 9) — they are hints for the design phase, not
-verdicts; the comparison pipeline remains the ground truth.  Definitions
-used here, for rules ``r_i`` before ``r_j``:
+verdicts; the comparison pipeline remains the ground truth.  ``repro
+lint`` is the findings engine: it reports correlation and
+generalization as its FW101/FW102 hints and decides shadowing and
+redundancy exactly (FW001-FW003).  Definitions used here, for rules
+``r_i`` before ``r_j``:
 
-* **shadowing** — every packet of ``r_j`` is matched by earlier rules and
-  ``r_j``'s decision differs from what those rules decide.  The classic
-  pairwise special case (``pred_j ⊆ pred_i`` with different decisions) is
-  the default; pass ``exact=True`` to delegate shadowing to the FDD-exact
-  cumulative checker (:mod:`repro.analysis.effective`), which also
-  catches rules covered only by the *union* of several earlier rules —
-  and drops pairwise shadowing claims that the exact analysis refutes
-  (e.g. when an even earlier rule already decides the traffic the same
-  way the shadowed rule would).
+* **shadowing** — ``pred_j ⊆ pred_i`` with different decisions: the
+  classic pairwise special case.  A rule covered only by the *union* of
+  several earlier rules is caught by the exact cumulative check
+  (:mod:`repro.analysis.effective`, lint's FW001), not here.
 * **generalization** — ``pred_i ⊂ pred_j`` with different decisions:
   ``r_j`` is a more general rule whose exceptions are carved out by
   ``r_i``.  Usually intentional, flagged for review.
@@ -75,14 +73,8 @@ def _classify(firewall: Firewall, i: int, j: int) -> str | None:
     return None
 
 
-def find_anomalies(firewall: Firewall, *, exact: bool = False) -> list[Anomaly]:
+def find_anomalies(firewall: Firewall) -> list[Anomaly]:
     """All pairwise anomalies in rule order.
-
-    With ``exact=True``, shadowing is decided by the FDD-exact cumulative
-    checker instead of the pairwise containment test: each shadowed rule
-    is reported once (deduplicating what both paths find), anchored at
-    its highest-priority conflicting earlier rule, and cumulative covers
-    that no single earlier rule provides are caught.
 
     >>> from repro.fields import toy_schema
     >>> from repro.policy import Firewall, Rule, ACCEPT, DISCARD
@@ -92,33 +84,8 @@ def find_anomalies(firewall: Firewall, *, exact: bool = False) -> list[Anomaly]:
     ...                        Rule.build(schema, DISCARD)])
     >>> [a.kind for a in find_anomalies(fw)]
     ['shadowing', 'generalization']
-
-    The 3-rule cumulative cover the pairwise test provably misses:
-
-    >>> fw3 = Firewall(schema, [Rule.build(schema, ACCEPT, F1=(0, 3)),
-    ...                         Rule.build(schema, ACCEPT, F1=(4, 7)),
-    ...                         Rule.build(schema, DISCARD, F1=(1, 6)),
-    ...                         Rule.build(schema, DISCARD)])
-    >>> [a.kind for a in find_anomalies(fw3) if a.kind == 'shadowing']
-    []
-    >>> [(a.first, a.second) for a in find_anomalies(fw3, exact=True)
-    ...  if a.kind == 'shadowing']
-    [(0, 2)]
     """
-    anomalies = list(_iter_anomalies(firewall))
-    if not exact:
-        return anomalies
-    from repro.analysis.effective import effective_rules
-
-    analysis = effective_rules(firewall)
-    merged = [a for a in anomalies if a.kind != SHADOWING]
-    merged.extend(
-        Anomaly(SHADOWING, fact.conflicting[0], fact.index)
-        for fact in analysis.rules
-        if fact.shadowed
-    )
-    merged.sort(key=lambda a: (a.first, a.second, a.kind))
-    return merged
+    return list(_iter_anomalies(firewall))
 
 
 def _iter_anomalies(firewall: Firewall) -> Iterator[Anomaly]:

@@ -235,15 +235,14 @@ def resolve_by_patching(
     *,
     base_is: str = "a",
     name: str = "resolved",
-    compact: bool = True,
 ) -> Firewall:
     """Method 2 (Section 6.2): prepend fixes to an original firewall.
 
     ``base`` is one team's original firewall and ``base_is`` says which
     side of each discrepancy that team took (``"a"`` or ``"b"``).  Rules
     are prepended only for discrepancies where the base team's decision
-    differs from the agreed one; redundant rules are then removed when
-    ``compact`` is set.
+    differs from the agreed one; redundant rules are then removed, as
+    the method prescribes.
     """
     if base_is not in ("a", "b"):
         raise ResolutionError(f"base_is must be 'a' or 'b', got {base_is!r}")
@@ -253,10 +252,7 @@ def resolve_by_patching(
         base_decision = disc.decision_a if base_is == "a" else disc.decision_b
         if base_decision != resolution.decision:
             fixes.append(resolution.correcting_rule())
-    patched = base.prepend(*fixes) if fixes else base
-    patched = patched.with_name(name)
-    if compact:
-        from repro.analysis.redundancy import remove_redundant_rules
+    from repro.analysis.redundancy import remove_redundant_rules
 
-        patched = remove_redundant_rules(patched)
-    return patched.with_name(name)
+    patched = base.prepend(*fixes) if fixes else base
+    return remove_redundant_rules(patched).with_name(name)

@@ -11,8 +11,6 @@ files in the library's text format (see :mod:`repro.policy.parser`):
     $ python -m repro query policy.fw "count accept where dst_port=smtp"
     $ python -m repro query policy.fw --batch packets.txt --format json
     $ python -m repro serve-bench team_a.fw team_b.fw --packets 50000
-    $ python -m repro compact policy.fw
-    $ python -m repro anomalies policy.fw
     $ python -m repro lint policy.fw --format sarif
     $ python -m repro export policy.fw --format iptables
     $ python -m repro import rules.v4 --format iptables
@@ -61,22 +59,12 @@ from repro.analysis import (
     aggregate_discrepancies,
     analyze_change,
     approximate_compare,
-    find_anomalies,
     format_discrepancy_table,
-    remove_redundant_rules,
     run_query,
 )
 from repro.exceptions import BudgetExceededError, ParseError, ReproError
 from repro.guard import Budget, GuardContext
-from repro.policy import (
-    dumps,
-    load,
-    to_cisco_acl,
-    to_iptables,
-    to_native,
-    to_nftables,
-    to_table,
-)
+from repro.policy import dumps, emit_policy, load, parse_policy, to_table
 
 __all__ = [
     "main",
@@ -307,24 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the full report as JSON to PATH",
     )
     _add_guard_options(serve_bench, fallback=False)
-
-    compact = sub.add_parser(
-        "compact", help="remove provably redundant rules (prints the result)"
-    )
-    compact.add_argument("policy")
-
-    anomalies = sub.add_parser(
-        "anomalies", help="flag pairwise rule anomalies (shadowing, ...)"
-    )
-    anomalies.add_argument("policy")
-    anomalies.add_argument(
-        "--exact",
-        action="store_true",
-        help=(
-            "decide shadowing exactly (FDD-backed cumulative cover)"
-            " instead of the classic pairwise special case"
-        ),
-    )
 
     lint = sub.add_parser(
         "lint", help="static analysis: structured diagnostics over a policy"
@@ -863,26 +833,6 @@ def _cmd_serve_bench(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compact(args) -> int:
-    firewall = load(args.policy)
-    slim = remove_redundant_rules(firewall)
-    removed = len(firewall) - len(slim)
-    print(f"# removed {removed} redundant rule(s): {len(firewall)} -> {len(slim)}")
-    sys.stdout.write(dumps(slim))
-    return 0
-
-
-def _cmd_anomalies(args) -> int:
-    firewall = load(args.policy)
-    found = find_anomalies(firewall, exact=args.exact)
-    if not found:
-        print("no pairwise anomalies" if not args.exact else "no anomalies")
-        return 0
-    for anomaly in found:
-        print(anomaly.describe(firewall))
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.lint import (
         Severity,
@@ -932,8 +882,6 @@ def _load_dialect(path: str, dialect: str | None, *, chain: str | None = None):
     """Load a policy file, optionally parsing it as a device dialect."""
     if dialect is None or dialect == "native":
         return load(path)
-    from repro.policy import parse_policy
-
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     return parse_policy(text, dialect, chain=chain).to_firewall()
@@ -941,16 +889,10 @@ def _load_dialect(path: str, dialect: str | None, *, chain: str | None = None):
 
 def _cmd_export(args) -> int:
     firewall = load(args.policy)
-    if args.fmt == "iptables":
-        sys.stdout.write(to_iptables(firewall))
-    elif args.fmt == "cisco":
-        sys.stdout.write(to_cisco_acl(firewall))
-    elif args.fmt == "nftables":
-        sys.stdout.write(to_nftables(firewall))
-    elif args.fmt == "native":
-        sys.stdout.write(to_native(firewall))
-    else:
+    if args.fmt == "text":
         sys.stdout.write(dumps(firewall))
+    else:
+        sys.stdout.write(emit_policy(firewall, args.fmt))
     return 0
 
 
@@ -1196,13 +1138,11 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    from repro.policy import import_policy
-
     with open(args.config, "r", encoding="utf-8") as handle:
         text = handle.read()
-    firewall = import_policy(text, args.fmt, chain=args.chain)
+    firewall = parse_policy(text, args.fmt, chain=args.chain).to_firewall()
     if args.schema_header:
-        sys.stdout.write(to_native(firewall))
+        sys.stdout.write(emit_policy(firewall, "native"))
     else:
         sys.stdout.write(dumps(firewall))
     return 0
@@ -1214,8 +1154,6 @@ _COMMANDS = {
     "equivalent": _cmd_equivalent,
     "query": _cmd_query,
     "serve-bench": _cmd_serve_bench,
-    "compact": _cmd_compact,
-    "anomalies": _cmd_anomalies,
     "lint": _cmd_lint,
     "export": _cmd_export,
     "simplify": _cmd_simplify,

@@ -4,28 +4,18 @@ Rules are ``predicate -> decision``; a firewall is an ordered,
 comprehensive rule sequence evaluated first-match.  A text format with a
 parser/serializer round trip makes policies storable and diffable.
 
-Device dialects flow through the canonical IR (:mod:`repro.policy.ir`):
-frontends registered in :mod:`repro.policy.frontends` lower concrete
-syntax into :class:`IRPolicy`, and backends in
-:mod:`repro.policy.export` emit any registered dialect back out.
+Device dialects flow through the canonical IR (:mod:`repro.policy.ir`)
+and one registry: :func:`parse_policy` lowers any registered dialect
+into :class:`IRPolicy` (``parse_policy(text, "iptables").to_firewall()``
+imports a dump), and :func:`emit_policy` renders a firewall or IR back
+out (``emit_policy(firewall, "cisco", name="EDGE")``).  The backends in
+:mod:`repro.policy.export` register on first use.
 """
 
-from repro.policy.export import (
-    to_cisco_acl,
-    to_iptables,
-    to_native,
-    to_nftables,
-)
 from repro.policy.frontends import (
     dialect_names,
     emit_policy,
     parse_policy,
-)
-from repro.policy.imports import (
-    from_cisco_acl,
-    from_iptables,
-    from_nftables,
-    import_policy,
 )
 from repro.policy.ir import IRPolicy, IRRule
 from repro.policy.decision import (
@@ -59,19 +49,11 @@ __all__ = [
     "dump",
     "dumps",
     "emit_policy",
-    "from_cisco_acl",
-    "from_iptables",
-    "from_nftables",
-    "import_policy",
     "load",
     "loads",
     "parse_decision",
     "parse_policy",
     "parse_rule",
     "rule_to_text",
-    "to_cisco_acl",
-    "to_iptables",
-    "to_native",
-    "to_nftables",
     "to_table",
 ]

@@ -7,7 +7,10 @@ driven off the canonical :class:`~repro.policy.ir.IRPolicy` (per-field
 interval sets, decision, provenance) and registered in the dialect
 registry (:mod:`repro.policy.frontends`), so dialect emission is one
 table — ``_BACKENDS`` at the bottom of this module — not a bespoke
-module per format:
+module per format.  Callers never name a backend: they call
+``emit_policy(firewall_or_ir, dialect, **options)``, whose keyword
+options are the ``_emit_*`` keywords below (``chain``/``table_header``,
+``name``, ``table``/``chain``, ``schema_key``):
 
 * ``iptables`` — ``iptables-restore`` style append commands (with
   ``-m conntrack --ctstate`` for stateful-schema policies);
@@ -17,7 +20,7 @@ module per format:
   stateful schema's state field);
 * ``native``   — the repo's own DSL via :mod:`repro.policy.serializer`.
 
-The classic exporters are best-effort textual renderings, not
+The backends are best-effort textual renderings, not
 vendor-validated configs.  Conjuncts a format cannot express natively
 (multi-interval sets, non-CIDR ranges) are expanded into several lines,
 preserving first-match semantics exactly — each expansion of one rule
@@ -32,11 +35,10 @@ from repro.addr import int_to_ip, intervalset_to_prefixes
 from repro.exceptions import PolicyError
 from repro.fields import FieldKind, interface_schema, standard_schema
 from repro.intervals import Interval, IntervalSet
-from repro.policy.firewall import Firewall
 from repro.policy.frontends import register_backend
 from repro.policy.ir import IRPolicy, IRRule
 
-__all__ = ["to_iptables", "to_cisco_acl", "to_nftables", "to_native"]
+__all__: list[str] = []
 
 _STANDARD_KINDS = [
     FieldKind.IP,
@@ -121,6 +123,21 @@ def _state_token(values: IntervalSet, domain: IntervalSet) -> str | None:
 def _emit_iptables(
     ir: IRPolicy, *, chain: str = "FORWARD", table_header: bool = True
 ) -> str:
+    """Render as iptables-restore style ``-A`` commands.
+
+    The final catch-all rule (if any) becomes the chain policy; every
+    other rule becomes one or more ``-A <chain>`` lines (ports only
+    attach to TCP/UDP matches, mirroring iptables' own restriction: a
+    port-constrained rule whose protocol is unconstrained expands into a
+    TCP and a UDP line).  Stateful-schema policies emit
+    ``-m conntrack --ctstate`` matches for constrained state fields.
+
+    >>> from repro.policy import emit_policy
+    >>> from repro.synth import SyntheticFirewallGenerator
+    >>> fw = SyntheticFirewallGenerator(seed=1).generate(5)
+    >>> emit_policy(fw, "iptables").startswith("*filter")
+    True
+    """
     offset = _schema_offset(ir, "iptables", allow_state=True)
     fields = ir.schema.fields
     port_domain = fields[offset + 2].domain_set
@@ -227,39 +244,20 @@ def _port_match(flag: str, interval: Interval) -> str:
     return f"{flag} {interval.lo}:{interval.hi}"
 
 
-def to_iptables(
-    firewall: Firewall,
-    *,
-    chain: str = "FORWARD",
-    table_header: bool = True,
-) -> str:
-    """Render as iptables-restore style ``-A`` commands.
-
-    The final catch-all rule (if any) becomes the chain policy; every
-    other rule becomes one or more ``-A <chain>`` lines (ports only
-    attach to TCP/UDP matches, mirroring iptables' own restriction: a
-    port-constrained rule whose protocol is unconstrained expands into a
-    TCP and a UDP line).  Stateful-schema policies emit
-    ``-m conntrack --ctstate`` matches for constrained state fields.
-
-    >>> from repro.synth import SyntheticFirewallGenerator
-    >>> text = to_iptables(SyntheticFirewallGenerator(seed=1).generate(5))
-    >>> text.startswith("*filter")
-    True
-    """
-    return _emit_iptables(
-        IRPolicy.from_firewall(firewall, dialect="iptables"),
-        chain=chain,
-        table_header=table_header,
-    )
-
-
 # ----------------------------------------------------------------------
 # Cisco extended ACL
 # ----------------------------------------------------------------------
 
 
 def _emit_cisco(ir: IRPolicy, *, name: str | None = None) -> str:
+    """Render as a Cisco extended named ACL.
+
+    Prefixes become address/wildcard-mask pairs; single hosts use
+    ``host``; the whole address space uses ``any``.  Port intervals
+    render as ``eq``/``range``.  Protocol ``any`` renders as ``ip``
+    unless ports are constrained, in which case the rule expands into
+    tcp and udp lines, as on real devices.
+    """
     _schema_offset(ir, "Cisco ACL", allow_state=False)
     acl_name = name or (ir.name.replace(" ", "_") or "FIREWALL")
     lines = [f"ip access-list extended {acl_name}"]
@@ -324,21 +322,6 @@ def _cisco_port(interval: Interval) -> str:
     return f"range {interval.lo} {interval.hi}"
 
 
-def to_cisco_acl(firewall: Firewall, *, name: str | None = None) -> str:
-    """Render as a Cisco extended named ACL.
-
-    Prefixes become address/wildcard-mask pairs; single hosts use
-    ``host``; the whole address space uses ``any``.  Port intervals
-    render as ``eq``/``range``.  Protocol ``any`` renders as ``ip``
-    (ports are then dropped from that line only if unconstrained;
-    otherwise the rule expands into tcp and udp lines, as on real
-    devices).
-    """
-    return _emit_cisco(
-        IRPolicy.from_firewall(firewall, dialect="cisco"), name=name
-    )
-
-
 # ----------------------------------------------------------------------
 # nftables
 # ----------------------------------------------------------------------
@@ -347,6 +330,19 @@ def to_cisco_acl(firewall: Firewall, *, name: str | None = None) -> str:
 def _emit_nftables(
     ir: IRPolicy, *, table: str = "inet filter", chain: str = "forward"
 ) -> str:
+    """Render as an ``nft`` ruleset (one table, one base chain).
+
+    Multi-interval matches emit as ``{ ... }`` sets on a single line —
+    nftables is the one dialect that needs no cross-product expansion.
+    The final catch-all rule becomes the chain ``policy`` declaration;
+    stateful-schema policies emit ``ct state`` matches.
+
+    >>> from repro.policy import emit_policy
+    >>> from repro.synth import SyntheticFirewallGenerator
+    >>> fw = SyntheticFirewallGenerator(seed=1).generate(5)
+    >>> emit_policy(fw, "nftables").startswith("table inet filter {")
+    True
+    """
     offset = _schema_offset(ir, "nftables", allow_state=True)
     state_domain = ir.schema.fields[0].domain_set if offset else None
 
@@ -455,28 +451,6 @@ def _nftables_rule_line(
     return " ".join(parts)
 
 
-def to_nftables(
-    firewall: Firewall, *, table: str = "inet filter", chain: str = "forward"
-) -> str:
-    """Render as an ``nft`` ruleset (one table, one base chain).
-
-    Multi-interval matches emit as ``{ ... }`` sets on a single line —
-    nftables is the one dialect that needs no cross-product expansion.
-    The final catch-all rule becomes the chain ``policy`` declaration;
-    stateful-schema policies emit ``ct state`` matches.
-
-    >>> from repro.synth import SyntheticFirewallGenerator
-    >>> text = to_nftables(SyntheticFirewallGenerator(seed=1).generate(5))
-    >>> text.startswith("table inet filter {")
-    True
-    """
-    return _emit_nftables(
-        IRPolicy.from_firewall(firewall, dialect="nftables"),
-        table=table,
-        chain=chain,
-    )
-
-
 # ----------------------------------------------------------------------
 # native
 # ----------------------------------------------------------------------
@@ -495,24 +469,17 @@ def _native_schema_key(ir: IRPolicy) -> str | None:
 
 
 def _emit_native(ir: IRPolicy, *, schema_key: str | None = None) -> str:
-    from repro.policy.serializer import dumps
-
-    firewall = ir.to_firewall(require_comprehensive=False)
-    key = schema_key if schema_key is not None else _native_schema_key(ir)
-    return dumps(firewall, schema_key=key)
-
-
-def to_native(firewall: Firewall, *, schema_key: str | None = None) -> str:
     """Render in the repo's own DSL with a self-describing header.
 
     The schema header key is auto-detected for the standard, interface,
     and stateful schemas; other schemas emit without a header (such
     documents need an explicit schema to parse back).
     """
-    return _emit_native(
-        IRPolicy.from_firewall(firewall, dialect="native"),
-        schema_key=schema_key,
-    )
+    from repro.policy.serializer import dumps
+
+    firewall = ir.to_firewall(require_comprehensive=False)
+    key = schema_key if schema_key is not None else _native_schema_key(ir)
+    return dumps(firewall, schema_key=key)
 
 
 # ----------------------------------------------------------------------

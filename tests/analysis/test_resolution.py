@@ -130,15 +130,6 @@ class TestMethod2:
         with pytest.raises(ResolutionError):
             resolve_by_patching(fw_a, [], base_is="x")
 
-    def test_no_compact_keeps_fixes(self, pair):
-        fw_a, fw_b = pair
-        discs = compare_firewalls(fw_a, fw_b)
-        final = resolve_by_patching(
-            fw_a, prefer_team(discs, "b"), base_is="a", compact=False
-        )
-        assert len(final) >= len(fw_a)
-        assert equivalent(final, fw_b)
-
 
 class TestMethodsAgree:
     @given(firewalls(SCHEMA, max_rules=3), firewalls(SCHEMA, max_rules=3))

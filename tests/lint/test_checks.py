@@ -52,10 +52,6 @@ class TestCumulativeShadowing:
         assert shadowed[0].severity is Severity.ERROR
         assert shadowed[0].related == (0, 1)
 
-    def test_exact_anomaly_mode_agrees(self, cumulative):
-        shadowing = [a for a in find_anomalies(cumulative, exact=True) if a.kind == "shadowing"]
-        assert [(a.first, a.second) for a in shadowing] == [(0, 2)]
-
     def test_effective_analysis_detail(self, cumulative):
         analysis = effective_rules(cumulative)
         fact = analysis.rules[2]

@@ -114,9 +114,3 @@ class TestGuardOptions:
 
     def test_generous_budget_ok(self):
         assert main(["lint", DEMO, "--deadline", "60", "--fail-on", "never"]) == 0
-
-
-class TestAnomaliesExact:
-    def test_exact_flag(self, capsys):
-        assert main(["anomalies", DEMO, "--exact"]) in (0, 1)
-        assert "shadowing" in capsys.readouterr().out

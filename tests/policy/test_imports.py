@@ -1,22 +1,18 @@
-"""Tests for the iptables / Cisco importers, incl. export round trips."""
+"""Tests for the iptables / Cisco / nftables frontends, incl. emit round trips."""
 
 import pytest
 
 from repro.analysis import equivalent
 from repro.exceptions import ParseError
-from repro.policy import (
-    ACCEPT,
-    ACCEPT_LOG,
-    DISCARD,
-    from_cisco_acl,
-    from_iptables,
-    to_cisco_acl,
-    to_iptables,
-)
+from repro.policy import ACCEPT, ACCEPT_LOG, DISCARD, emit_policy, parse_policy
 from repro.fields import standard_schema
 from repro.synth import SyntheticFirewallGenerator
 
 SCHEMA = standard_schema()
+
+
+def _import(text, dialect):
+    return parse_policy(text, dialect).to_firewall()
 
 
 class TestFromIptables:
@@ -30,7 +26,7 @@ class TestFromIptables:
     """
 
     def test_parses_rules_and_policy(self):
-        fw = from_iptables(self.TEXT)
+        fw = _import(self.TEXT, "iptables")
         assert len(fw) == 4  # 3 rules + chain policy catch-all
         assert fw.rules[-1].decision == DISCARD
         assert fw.rules[1].comment == "smtp in"
@@ -38,7 +34,7 @@ class TestFromIptables:
     def test_semantics(self):
         from repro.addr import ip_to_int
 
-        fw = from_iptables(self.TEXT)
+        fw = _import(self.TEXT, "iptables")
         mail = ip_to_int("192.168.0.1")
         bad = ip_to_int("224.168.3.4")
         assert fw((1, mail, 40000, 25, 6)) == ACCEPT
@@ -47,15 +43,17 @@ class TestFromIptables:
         assert fw((1, 2, 40000, 53, 6)) == DISCARD  # tcp dns not allowed
 
     def test_port_ranges(self):
-        fw = from_iptables(
-            ":FORWARD ACCEPT [0:0]\n-A FORWARD -p tcp --dport 1024:2048 -j DROP\n"
+        fw = _import(
+            ":FORWARD ACCEPT [0:0]\n-A FORWARD -p tcp --dport 1024:2048 -j DROP\n",
+            "iptables",
         )
         assert fw((1, 2, 3, 1500, 6)) == DISCARD
         assert fw((1, 2, 3, 80, 6)) == ACCEPT
 
     def test_other_chains_ignored(self):
-        fw = from_iptables(
-            ":FORWARD ACCEPT [0:0]\n-A INPUT -s 10.0.0.0/8 -j DROP\n"
+        fw = _import(
+            ":FORWARD ACCEPT [0:0]\n-A INPUT -s 10.0.0.0/8 -j DROP\n",
+            "iptables",
         )
         assert len(fw) == 1  # just the policy catch-all
 
@@ -65,7 +63,7 @@ class TestFromIptables:
             "-A FORWARD -s 10.0.0.0/8 -j LOG\n"
             "-A FORWARD -s 10.0.0.0/8 -j ACCEPT\n"
         )
-        fw = from_iptables(text)
+        fw = _import(text, "iptables")
         assert fw.rules[0].decision == ACCEPT_LOG
 
     @pytest.mark.parametrize(
@@ -80,14 +78,14 @@ class TestFromIptables:
     )
     def test_rejects_unsupported(self, bad):
         with pytest.raises(ParseError):
-            from_iptables(bad)
+            _import(bad, "iptables")
 
     def test_export_import_round_trip(self):
         original = SyntheticFirewallGenerator(seed=61).generate(25)
         # Logged decisions don't survive the LOG-line folding heuristic in
         # general, and the generator doesn't emit them anyway.
-        text = to_iptables(original)
-        again = from_iptables(text)
+        text = emit_policy(original, "iptables")
+        again = _import(text, "iptables")
         assert equivalent(original, again)
 
 
@@ -102,7 +100,7 @@ class TestFromCisco:
     """
 
     def test_parses(self):
-        fw = from_cisco_acl(self.TEXT)
+        fw = _import(self.TEXT, "cisco")
         assert fw.name == "EDGE"
         assert len(fw) == 5  # 4 statements + implicit deny
         assert fw.rules[0].comment == "malicious domain"
@@ -110,7 +108,7 @@ class TestFromCisco:
     def test_semantics(self):
         from repro.addr import ip_to_int
 
-        fw = from_cisco_acl(self.TEXT)
+        fw = _import(self.TEXT, "cisco")
         bad = ip_to_int("224.168.1.1")
         mail = ip_to_int("192.168.0.1")
         assert fw((bad, mail, 1, 25, 6)) == DISCARD
@@ -119,12 +117,13 @@ class TestFromCisco:
         assert fw((1, 2, 3, 80, 6)) == ACCEPT  # permit ip any any
 
     def test_implicit_deny(self):
-        fw = from_cisco_acl("ip access-list extended X\n permit tcp any any eq 80\n")
+        fw = _import("ip access-list extended X\n permit tcp any any eq 80\n", "cisco")
         assert fw((1, 2, 3, 81, 6)) == DISCARD
 
     def test_log_keyword(self):
-        fw = from_cisco_acl(
-            "ip access-list extended X\n permit tcp any any eq 80 log\n"
+        fw = _import(
+            "ip access-list extended X\n permit tcp any any eq 80 log\n",
+            "cisco",
         )
         assert fw.rules[0].decision == ACCEPT_LOG
 
@@ -139,12 +138,12 @@ class TestFromCisco:
     )
     def test_rejects_unsupported(self, bad):
         with pytest.raises(ParseError):
-            from_cisco_acl(f"ip access-list extended X\n{bad}\n")
+            _import(f"ip access-list extended X\n{bad}\n", "cisco")
 
     def test_export_import_round_trip(self):
         original = SyntheticFirewallGenerator(seed=63).generate(25)
-        text = to_cisco_acl(original)
-        again = from_cisco_acl(text)
+        text = emit_policy(original, "cisco")
+        again = _import(text, "cisco")
         assert equivalent(original, again)
 
 
@@ -154,12 +153,14 @@ class TestRoundTripProperty:
     @pytest.mark.parametrize("seed", [71, 72, 73, 74])
     def test_iptables_round_trip(self, seed):
         original = SyntheticFirewallGenerator(seed=seed).generate(15)
-        assert equivalent(original, from_iptables(to_iptables(original)))
+        text = emit_policy(original, "iptables")
+        assert equivalent(original, _import(text, "iptables"))
 
     @pytest.mark.parametrize("seed", [81, 82, 83, 84])
     def test_cisco_round_trip(self, seed):
         original = SyntheticFirewallGenerator(seed=seed).generate(15)
-        assert equivalent(original, from_cisco_acl(to_cisco_acl(original)))
+        text = emit_policy(original, "cisco")
+        assert equivalent(original, _import(text, "cisco"))
 
 
 class TestFromNftables:
@@ -174,18 +175,15 @@ table inet filter {
 """
 
     def test_parses_rules_and_policy(self):
-        from repro.policy import from_nftables
-
-        fw = from_nftables(self.TEXT)
+        fw = _import(self.TEXT, "nftables")
         assert len(fw) == 3  # 2 rules + chain policy catch-all
         assert fw.rules[-1].decision == DISCARD
         assert fw.rules[0].comment == "ssh"
 
     def test_semantics(self):
         from repro.addr import ip_to_int
-        from repro.policy import from_nftables
 
-        fw = from_nftables(self.TEXT)
+        fw = _import(self.TEXT, "nftables")
         inside = ip_to_int("10.1.2.3")
         assert fw((inside, 1, 40000, 22, 6)) == ACCEPT
         assert fw((ip_to_int("11.0.0.1"), 1, 40000, 22, 6)) == DISCARD
@@ -193,7 +191,6 @@ table inet filter {
 
     @pytest.mark.parametrize("seed", [91, 92, 93, 94])
     def test_nftables_round_trip(self, seed):
-        from repro.policy import from_nftables, to_nftables
-
         original = SyntheticFirewallGenerator(seed=seed).generate(15)
-        assert equivalent(original, from_nftables(to_nftables(original)))
+        text = emit_policy(original, "nftables")
+        assert equivalent(original, _import(text, "nftables"))

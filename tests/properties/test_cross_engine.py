@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from repro.fields import toy_schema
 from repro.policy import Firewall
 from repro.analysis.effective import effective_rules
+from repro.analysis.redundancy import find_upward_redundant
 from repro.analysis.equivalence import disputed_packet_count, equivalent
 from repro.analysis.impact import ChangeImpactReport, analyze_change
 from repro.fdd.canonical import canonical_fdd, fingerprint_canonical, semantic_fingerprint
@@ -184,3 +185,21 @@ def test_effective_engines_agree_property(fw):
 @given(firewalls(SCHEMA, max_rules=4), firewalls(SCHEMA, max_rules=4))
 def test_equivalence_engines_agree_property(fw_a, fw_b):
     assert equivalent(fw_a, fw_b) == (not compare_firewalls(fw_a, fw_b))
+
+
+# ----------------------------------------------------------------------
+# The two dead-rule detectors: box subtraction vs FDD append identity
+# ----------------------------------------------------------------------
+
+DEAD_SCHEMA = toy_schema(5, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(firewalls(DEAD_SCHEMA, max_rules=8, include_log=True))
+def test_dead_rule_detectors_agree(fw):
+    assert find_upward_redundant(fw) == effective_rules(fw).dead_indices()
+
+
+def test_dead_rule_detectors_agree_on_corpus():
+    for fw in generate_firewall_pair(30, seed=7):
+        assert find_upward_redundant(fw) == effective_rules(fw).dead_indices()
