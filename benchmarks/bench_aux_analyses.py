@@ -39,7 +39,7 @@ def test_bench_redundancy_removal(benchmark, report_saver):
         [
             banner(
                 "Redundancy analysis cost ([19]; used by resolution Method 2)",
-                "upward = symbolic unreachability; complete = equivalence-checked removal",
+                "upward = symbolic unreachability; complete = greedy prefix/suffix-walk removal",
             ),
             render_table(
                 [

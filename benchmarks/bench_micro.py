@@ -12,6 +12,7 @@ import time
 
 from repro.analysis.aggregate import aggregate_discrepancies
 from repro.analysis.impact import ChangeImpactReport, analyze_change
+from repro.analysis.redundancy import remove_redundant_rules
 from repro.bench import bench_scale
 from repro.fdd import compare_firewalls, construct_fdd, generate_firewall, reduce_fdd
 from repro.fdd.canonical import fingerprint_canonical, semantic_fingerprint
@@ -20,6 +21,8 @@ from repro.fdd.store import NodeStore
 from repro.fields import PacketSampler
 from repro.intervals import IntervalSet
 from repro.synth import SyntheticFirewallGenerator, average_42, generate_firewall_pair
+
+from tests.conftest import candidate_remove
 
 
 def _random_sets(count: int, seed: int) -> list[IntervalSet]:
@@ -153,7 +156,8 @@ def test_bench_interval_kernel(benchmark, json_saver):
 
 def test_bench_store_engines(benchmark, json_saver):
     """Store-backed reduce/fingerprint/impact vs the paper-literal tree
-    pipeline — writes the committed trajectory anchor ``BENCH_store.json``.
+    pipeline, and redundancy removal vs the per-candidate oracle — writes
+    the committed trajectory anchor ``BENCH_store.json``.
 
     The issue's acceptance bar lives here: at paper scale the
     store-backed ``semantic_fingerprint`` and ``analyze_change`` must
@@ -213,6 +217,18 @@ def test_bench_store_engines(benchmark, json_saver):
     tree = construct_fdd(reduce_fw)
     reduce_ms = _best_ms(lambda: reduce_fdd(tree))
 
+    # Complete redundancy removal: forward prefixes, backward suffixes
+    # and one walk per rule, against the per-candidate oracle (one
+    # construction per candidate removal) kept in the test suite.
+    redundancy_size = 80 if bench_scale() == "paper" else 40
+    redundancy_fw = SyntheticFirewallGenerator(seed=redundancy_size).generate(
+        redundancy_size
+    )
+    slim = remove_redundant_rules(redundancy_fw)
+    redundancy_ms = _best_ms(lambda: remove_redundant_rules(redundancy_fw))
+    oracle_slim, oracle_ms = _timed_once(lambda: candidate_remove(redundancy_fw))
+    redundancy_agree = slim.rules == oracle_slim.rules
+
     json_saver(
         "store_engines",
         [
@@ -235,11 +251,26 @@ def test_bench_store_engines(benchmark, json_saver):
             },
             {"key": "impact-tree", "total_ms": tree_impact_ms, "rules": tree_cmp_size},
             {"key": "reduce-store", "total_ms": reduce_ms, "rules": reduce_size},
+            {
+                "key": "redundancy-store",
+                "total_ms": redundancy_ms,
+                "rules": redundancy_size,
+                "rules_after": len(slim),
+                "engines_agree": int(redundancy_agree),
+                "speedup_vs_candidate": (
+                    oracle_ms / redundancy_ms if redundancy_ms else 0.0
+                ),
+            },
+            {
+                "key": "redundancy-candidate",
+                "total_ms": oracle_ms,
+                "rules": redundancy_size,
+            },
         ],
         meta={"rules": size, "seed": 13, "scale": bench_scale()},
         anchor="store",
     )
-    assert fp_agree and impact_agree
+    assert fp_agree and impact_agree and redundancy_agree
     assert store_fp_ms * 2 <= tree_fp_ms
     assert store_impact_ms * 2 <= tree_impact_ms
     benchmark(lambda: semantic_fingerprint(fw_a))

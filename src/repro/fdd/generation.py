@@ -113,8 +113,8 @@ def generate_firewall(
     rules = generate_rules(fdd, guard=guard)
     firewall = Firewall(fdd.schema, rules, name=name)
     if compact:
-        # Local import: redundancy analysis itself runs the comparison
-        # pipeline, which lives above this module in the layering.
+        # Local import: repro.analysis sits above this module in the
+        # layering.
         from repro.analysis.redundancy import remove_redundant_rules
 
         firewall = remove_redundant_rules(firewall, guard=guard)

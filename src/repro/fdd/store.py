@@ -296,20 +296,61 @@ class NodeStore:
         subtrees are processed once per rule, and re-appending an
         identical rule to an identical node (across calls) is free.
         ``guard`` ticks one node per visit, mirroring the reference
-        construction's budget currency.
+        construction's budget currency.  :meth:`prepend` is the same walk
+        with the rule placed first instead of last.
         """
+        return self._put_rule(
+            node, rule_sets, decision, self._append_memo, False, guard
+        )
+
+    def prepend(
+        self,
+        node: Node,
+        rule_sets: Sequence[IntervalSet],
+        decision: Decision,
+        *,
+        guard: GuardContext | None = None,
+    ) -> Node:
+        """Functionally put one rule *above* a partial FDD rooted at ``node``.
+
+        Fig. 7 with the roles swapped: inside the rule's box the rule
+        overrides whatever ``node`` decides; outside it ``node`` is
+        untouched.  Folding ``prepend`` over a rule list from the last
+        rule up builds the suffix diagrams of
+        :mod:`repro.analysis.redundancy`, and the final root *is* the
+        root :meth:`construct` builds front to back (both are the
+        canonical reduced diagram of the same policy).
+
+        The walk is :meth:`append`'s; only the terminal differs.  Its
+        memo lives for this call only, so a prepend's guard spend (one
+        tick per visit) does not depend on what the store has seen.
+        """
+        return self._put_rule(node, rule_sets, decision, {}, True, guard)
+
+    def _put_rule(
+        self,
+        node: Node,
+        rule_sets: Sequence[IntervalSet],
+        decision: Decision,
+        memo: dict,
+        override: bool,
+        guard: GuardContext | None,
+    ) -> Node:
+        """The walk behind :meth:`append` (``override=False``: a decided
+        packet keeps its decision) and :meth:`prepend` (``override=True``:
+        the rule's decision replaces it)."""
         rule_sets = tuple(self.intern_set(s) for s in rule_sets)
         rule_key = (tuple(id(s) for s in rule_sets), decision)
         num_fields = len(rule_sets)
-        memo = self._append_memo
         if len(memo) > APPEND_MEMO_LIMIT:
             memo.clear()
+        decided = self.terminal(decision) if override else None
 
         def rec(node: Node, index: int) -> Node:
             if guard is not None:
                 guard.tick_nodes()
             if isinstance(node, TerminalNode):
-                return node
+                return node if decided is None else decided
             key = (id(node), rule_key)
             found = memo.get(key)
             if found is not None:

@@ -101,8 +101,8 @@ class LintContext:
     by every check: one :class:`~repro.fdd.store.NodeStore` interns
     every diagram the run touches, the policy's reduced FDD (``fdd``)
     falls out of the effectiveness analysis's final append, and the
-    redundancy sweep products candidate diagrams against that same
-    prebuilt FDD instead of reconstructing the policy per candidate.
+    redundancy analysis re-walks that analysis's prefix diagrams in the
+    same store instead of building any candidate policy.
     Callers that already hold the policy's diagram — the audit pipeline
     fingerprints it first — seed the context with ``store``/``fdd`` so
     the lint run constructs nothing it was handed.
@@ -179,19 +179,17 @@ class LintContext:
     def redundant(self) -> frozenset[int]:
         """Indices removable without changing semantics (computed once).
 
-        Runs against the shared prebuilt FDD: each candidate removal
-        costs one candidate construction plus a memoized product walk —
-        the policy itself is never reconstructed.
+        Runs in the shared store: one backward pass of prepends, one
+        forward pass of appends (memo hits once the effectiveness
+        analysis has built the policy here) and one box-restricted walk
+        per rule — no candidate policy is ever built.
         """
         if self._redundant is None:
             from repro.analysis.redundancy import find_redundant_rules
 
             self._redundant = frozenset(
                 find_redundant_rules(
-                    self.firewall,
-                    guard=self.guard,
-                    fdd=self.fdd,
-                    store=self.store,
+                    self.firewall, guard=self.guard, store=self.store
                 )
             )
         return self._redundant

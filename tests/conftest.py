@@ -118,3 +118,58 @@ def covered_packets(discrepancies) -> set[tuple[int, ...]]:
 
         rec(0, ())
     return out
+
+
+def _without_if_redundant(firewall: Firewall, index: int, root, store):
+    """``firewall`` without rule ``index`` if that keeps its root ``root``.
+
+    The candidate is built in ``store``, which interns each canonical
+    reduced diagram once, so it is equivalent iff its root *is* ``root``.
+    """
+    from repro.exceptions import NotComprehensiveError
+
+    if len(firewall) == 1:
+        return None
+    try:
+        candidate = firewall.remove(index)
+    except NotComprehensiveError:
+        return None
+    if store.construct(candidate).root is root:
+        return candidate
+    return None
+
+
+def candidate_redundant(firewall: Firewall) -> list[int]:
+    """Complete redundancy by construction: one candidate policy per rule."""
+    from repro.fdd.store import NodeStore
+
+    store = NodeStore()
+    root = store.construct(firewall).root
+    return [
+        index
+        for index in range(len(firewall))
+        if _without_if_redundant(firewall, index, root, store) is not None
+    ]
+
+
+def candidate_remove(firewall: Firewall) -> Firewall:
+    """The top-down greedy sweep to fixpoint, one construction per candidate:
+    at each index drop the rule if the policy without it keeps its root."""
+    from repro.fdd.store import NodeStore
+
+    store = NodeStore()
+    root = store.construct(firewall).root
+    current = firewall
+    changed = True
+    while changed:
+        changed = False
+        index = 0
+        while index < len(current):
+            candidate = _without_if_redundant(current, index, root, store)
+            if candidate is None:
+                index += 1
+            else:
+                # Stay at the same index: the next rule shifted into it.
+                current = candidate
+                changed = True
+    return current

@@ -109,6 +109,7 @@ SITE_DRIVERS = {
         construct_fdd(fa), guard=guard
     ),
     "redundancy.candidate": lambda fa, fb, guard: remove_redundant_rules(fa, guard=guard),
+    "redundancy.walk": lambda fa, fb, guard: remove_redundant_rules(fa, guard=guard),
     "bdd.encode": lambda fa, fb, guard: compare_with_bdd(fa, fb, guard=guard),
     "bdd.xor": lambda fa, fb, guard: compare_with_bdd(fa, fb, guard=guard),
     "bdd.cubes": lambda fa, fb, guard: compare_with_bdd(fa, fb, guard=guard),
@@ -135,7 +136,9 @@ class TestGuardedSitesUnwindCleanly:
         assert semantic_fingerprint(fw_b) == before_b
         assert compare_firewalls(fw_a, fw_b) == baseline
 
-    @pytest.mark.parametrize("site", ["shaping.pair", "comparison.visit", "fast.product"])
+    @pytest.mark.parametrize(
+        "site", ["shaping.pair", "comparison.visit", "fast.product", "redundancy.walk"]
+    )
     def test_mid_run_fault_also_unwinds(self, site):
         """The countdown places the failure mid-loop, not at the entry."""
         fw_a, fw_b = team_a_firewall(), team_b_firewall()

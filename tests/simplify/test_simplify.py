@@ -145,6 +145,97 @@ class TestGoldenSimplification:
         assert semantic_fingerprint(back) == semantic_fingerprint(fw)
 
 
+#: Exact ``simplify_firewall`` output (rule text, source line) and FW003
+#: rule indices for each golden dump.  Fingerprint parity alone would let
+#: a different removal order pass; these lists pin the greedy top-down
+#: sweep's choice.
+GOLDEN_PINNED = {
+    "iptables": (
+        [
+            ("state=1 -> accept", 9),
+            (
+                "src_ip=all except 10.0.0.0/8, dst_port=22 (ssh), 80 (www),"
+                " 443 (https), protocol=tcp -> accept",
+                10,
+            ),
+            ("src_ip=192.168.5.7, dst_port=53 (domain), protocol=udp -> accept", 11),
+            ("src_ip=172.16.0.0/12 -> discard+log", 15),
+            ("any -> discard", 7),
+        ],
+        [3, 4],
+    ),
+    "nftables": (
+        [
+            ("state=1 -> accept", 7),
+            (
+                "src_ip=all except 10.0.0.0/8, dst_port=22 (ssh), 80 (www),"
+                " 443 (https), protocol=tcp -> accept",
+                8,
+            ),
+            (
+                "src_ip=10.9.0.0/16, 10.10.0.0/16, dst_ip=192.168.1.10,"
+                " dst_port=53 (domain), protocol=udp -> accept",
+                9,
+            ),
+            ("src_ip=203.0.113.0/24 -> discard+log", 12),
+            ("any -> discard", 6),
+        ],
+        [],
+    ),
+    "cisco": (
+        [
+            ("src_ip=10.1.0.0/16, dst_port=443 (https), protocol=tcp -> accept", 6),
+            ("dst_ip=192.168.0.53, dst_port=53 (domain), protocol=udp -> accept", 9),
+            ("src_ip=192.0.2.0/24 -> discard+log", 10),
+            ("any -> discard", 11),
+        ],
+        [5],
+    ),
+    "native": (
+        [
+            ("dst_port=0-1023, protocol=tcp -> accept", 2),
+            ("dst_port=53 (domain), protocol=udp -> accept", 5),
+            ("any -> discard", 6),
+        ],
+        [],
+    ),
+}
+
+
+#: ``find_redundant_rules`` indices per golden dump (dead rules included).
+GOLDEN_REDUNDANT = {
+    "iptables": [3, 4],
+    "nftables": [3, 4],
+    "cisco": [1, 2, 5, 6],
+    "native": [1, 2],
+}
+
+
+class TestGoldenPinnedOutput:
+    @pytest.mark.parametrize("dialect", sorted(GOLDEN))
+    def test_simplify_rule_list(self, dialect):
+        fw = parse_policy(GOLDEN[dialect].read_text(), dialect).to_firewall()
+        result = simplify_firewall(fw)
+        assert result.strategy == "slim"
+        got = [(str(rule), rule.source_line) for rule in result.firewall.rules]
+        assert got == GOLDEN_PINNED[dialect][0]
+
+    @pytest.mark.parametrize("dialect", sorted(GOLDEN))
+    def test_fw003_indices(self, dialect):
+        from repro.lint import run_lint
+
+        fw = parse_policy(GOLDEN[dialect].read_text(), dialect).to_firewall()
+        found = [d.rule_index for d in run_lint(fw).diagnostics if d.code == "FW003"]
+        assert sorted(found) == GOLDEN_PINNED[dialect][1]
+
+    @pytest.mark.parametrize("dialect", sorted(GOLDEN))
+    def test_redundant_indices(self, dialect):
+        from repro.analysis import find_redundant_rules
+
+        fw = parse_policy(GOLDEN[dialect].read_text(), dialect).to_firewall()
+        assert find_redundant_rules(fw) == GOLDEN_REDUNDANT[dialect]
+
+
 class TestRoundTripMatrix:
     """Satellite: import -> simplify -> export -> re-import preserves the
     semantic fingerprint for every dialect pair."""
