@@ -20,6 +20,7 @@ from repro.fdd.fast import compare_fast, construct_fdd_fast
 from repro.fdd.store import NodeStore
 from repro.fields import PacketSampler
 from repro.intervals import IntervalSet
+from repro.simplify import simplify_firewall
 from repro.synth import SyntheticFirewallGenerator, average_42, generate_firewall_pair
 
 from tests.conftest import candidate_remove
@@ -156,8 +157,9 @@ def test_bench_interval_kernel(benchmark, json_saver):
 
 def test_bench_store_engines(benchmark, json_saver):
     """Store-backed reduce/fingerprint/impact vs the paper-literal tree
-    pipeline, and redundancy removal vs the per-candidate oracle — writes
-    the committed trajectory anchor ``BENCH_store.json``.
+    pipeline, redundancy removal vs the per-candidate oracle, plus
+    construction alone and the verified simplifier — writes the
+    committed trajectory anchor ``BENCH_store.json``.
 
     The issue's acceptance bar lives here: at paper scale the
     store-backed ``semantic_fingerprint`` and ``analyze_change`` must
@@ -196,6 +198,17 @@ def test_bench_store_engines(benchmark, json_saver):
         cmp_a, cmp_b = fw_a, fw_b
     else:
         cmp_a, cmp_b = generate_firewall_pair(tree_cmp_size, seed=13)
+    # Construction alone: both sides of the pair built in one store, the
+    # way every comparison starts.  Label ops (the op-memo size) predict
+    # its cost, so they are recorded next to the time.
+    def construct_pair():
+        store = NodeStore()
+        return store, store.construct(fw_a), store.construct(fw_b)
+
+    construct_ms = _best_ms(construct_pair)
+    pair_store, pair_fdd_a, _ = construct_pair()
+    construct_agree = fingerprint_canonical(pair_fdd_a) == tree_fp
+
     _, store_impact_ms = _timed_once(lambda: analyze_change(fw_a, fw_b))
     tree_impact, tree_impact_ms = _timed_once(
         lambda: ChangeImpactReport(
@@ -229,6 +242,15 @@ def test_bench_store_engines(benchmark, json_saver):
     oracle_slim, oracle_ms = _timed_once(lambda: candidate_remove(redundancy_fw))
     redundancy_agree = slim.rules == oracle_slim.rules
 
+    # The verified simplifier on the same policy; the tree pipeline's
+    # fingerprint of its output must equal the input's.
+    simplified = simplify_firewall(redundancy_fw)
+    simplify_ms = _best_ms(lambda: simplify_firewall(redundancy_fw))
+    simplify_agree = (
+        fingerprint_canonical(reduce_fdd(construct_fdd(simplified.firewall)))
+        == fingerprint_canonical(reduce_fdd(construct_fdd(redundancy_fw)))
+    )
+
     json_saver(
         "store_engines",
         [
@@ -240,6 +262,15 @@ def test_bench_store_engines(benchmark, json_saver):
                 "speedup_vs_tree": tree_fp_ms / store_fp_ms if store_fp_ms else 0.0,
             },
             {"key": "fingerprint-tree", "total_ms": tree_fp_ms, "rules": size},
+            {
+                "key": "construct-store",
+                "total_ms": construct_ms,
+                "rules": size,
+                "label_ops": pair_store.stats()["op_memo"],
+                "nodes": pair_store.nodes_created,
+                "edges": pair_store.edges_created,
+                "engines_agree": int(construct_agree),
+            },
             {
                 "key": "impact-store",
                 "total_ms": store_impact_ms,
@@ -266,11 +297,19 @@ def test_bench_store_engines(benchmark, json_saver):
                 "total_ms": oracle_ms,
                 "rules": redundancy_size,
             },
+            {
+                "key": "simplify-store",
+                "total_ms": simplify_ms,
+                "rules": redundancy_size,
+                "rules_after": simplified.rules_after,
+                "engines_agree": int(simplify_agree),
+            },
         ],
         meta={"rules": size, "seed": 13, "scale": bench_scale()},
         anchor="store",
     )
     assert fp_agree and impact_agree and redundancy_agree
+    assert construct_agree and simplify_agree
     assert store_fp_ms * 2 <= tree_fp_ms
     assert store_impact_ms * 2 <= tree_impact_ms
     benchmark(lambda: semantic_fingerprint(fw_a))

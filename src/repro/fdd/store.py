@@ -13,11 +13,11 @@ rests on the same two ideas:
   relabelling terminals linear in *shared* nodes instead of paths.
 
 :class:`NodeStore` owns both: the interval-label kernel (interned
-:class:`~repro.intervals.IntervalSet` labels plus an LRU-bounded pairwise
+:class:`~repro.intervals.IntervalSet` labels plus a bounded pairwise
 algebra memo), the node tables, and the algorithm memo tables (append,
-product, terminal relabelling).  The store keeps every interned object
-alive, so ``id``-based memo keys can never be silently reused while the
-store exists.
+product, terminal relabelling, per-node coverage).  The store keeps
+every interned object alive, so ``id``-based memo keys can never be
+silently reused while the store exists.
 
 Nodes handed out by a store are *shared and immutable by convention*:
 mutating them corrupts the signature tables.  The mutable-tree reference
@@ -37,6 +37,7 @@ the rest of the library uses.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Sequence
 
 from repro.guard import GuardContext
@@ -49,9 +50,12 @@ from repro.fdd.node import Edge, InternalNode, Node, TerminalNode
 __all__ = ["NodeStore", "PAIRWISE_MEMO_LIMIT", "APPEND_MEMO_LIMIT"]
 
 
-#: Default bound on the pairwise interval-operation memo (LRU entries).
-#: Keys are ``(op, id, id)`` triples over *interned* sets, so each entry
-#: is three machine words plus the interned result reference.
+#: Default bound on the pairwise interval-operation memo (entries).  Past
+#: it, each insert evicts the oldest entry (first in, first out; hits do
+#: not reorder), so the memo's size is the number of distinct op keys
+#: seen, capped here.  Keys are ``(op, id, id)`` triples over *interned*
+#: sets, so each entry is three machine words plus the interned result
+#: reference.
 PAIRWISE_MEMO_LIMIT = 1 << 16
 
 #: Bound on the per-store append memo.  Entries accumulate across rules
@@ -64,12 +68,24 @@ APPEND_MEMO_LIMIT = 1 << 17
 #: Op tags for the pairwise memo keys (smaller than strings to hash).
 _OP_AND, _OP_SUB, _OP_OR = 1, 2, 3
 
+#: The interval sweep behind each op tag, run on a memo miss.
+_SWEEPS = {
+    _OP_AND: IntervalSet.intersect,
+    _OP_SUB: IntervalSet.subtract,
+    _OP_OR: IntervalSet.union,
+}
+
+
+def _label_min(part: list) -> int:
+    """Sort key of a ``[label, child]`` edge: the label's minimum."""
+    return part[0].min()
+
 
 class NodeStore:
     """Interns FDD nodes — and their interval-set labels — by structure.
 
     Terminals intern by decision; internal nodes by
-    ``(field, ((label, id(child)), ...))`` with the edge list sorted by
+    ``(field, id(label), id(child), ...)`` with the edge list sorted by
     label minimum.  Because children are interned before parents, equal
     subgraphs always resolve to the *same object*, making structural
     equality an ``id`` comparison — the property the memoized algorithms
@@ -77,13 +93,16 @@ class NodeStore:
 
     :class:`~repro.intervals.IntervalSet` labels get the same treatment
     (:meth:`intern_set`): equal labels resolve to one pointer-stable
-    instance, which makes an LRU-bounded pairwise memo over
+    instance, which makes a bounded pairwise memo over
     :meth:`intersect` / :meth:`subtract` / :meth:`union` sound — keys are
     ``id`` pairs, and interned instances are kept alive by the store, so
     an id can never be silently reused while the store exists.  The same
     few label pairs are intersected over and over during construction and
     the product walk (every shared subtree replays its edge algebra), so
     the memo converts the interval sweeps of the hot loop into dict hits.
+    Each interned node's coverage (the union of its edge labels) is
+    folded through that memo once and then cached, since nodes never
+    change.
 
     On top of the tables the store offers the shared node algebra:
     :meth:`chain` / :meth:`append` / :meth:`construct` (functional rule
@@ -109,12 +128,17 @@ class NodeStore:
         self._owned: set[int] = set()
         #: set -> the canonical (interned) instance for that value content.
         self._sets: dict[IntervalSet, IntervalSet] = {}
-        #: (op, id(a), id(b)) -> interned result, LRU-bounded.
+        #: (op, id(a), id(b)) -> interned result, bounded first in,
+        #: first out (see PAIRWISE_MEMO_LIMIT).
         self._op_memo: OrderedDict[tuple[int, int, int], IntervalSet] = (
             OrderedDict()
         )
         self._memo_limit = max(1, memo_limit)
-        #: (id(node), rule_key) -> appended node (see :meth:`append`).
+        #: id(owned internal node) -> union of its edge labels.
+        self._coverage: dict[int, IntervalSet] = {}
+        #: (rule set ids, decision) -> small int naming the rule in memo keys.
+        self._rule_ids: dict[tuple, int] = {}
+        #: (id(node), rule id) -> appended node (see :meth:`append`).
         self._append_memo: dict[tuple, Node] = {}
         #: (id(node), relabel table) -> relabelled node.
         self._relabel_memo: dict[tuple, Node] = {}
@@ -152,46 +176,42 @@ class NodeStore:
         if len(memo) > self._memo_limit:
             memo.popitem(last=False)
 
+    def _label_op(self, op: int, a: IntervalSet, b: IntervalSet) -> IntervalSet:
+        """Memoized ``a <op> b`` over operands that are *already interned*."""
+        ia, ib = id(a), id(b)
+        key = (op, ib, ia) if op != _OP_SUB and ib < ia else (op, ia, ib)
+        found = self._op_memo.get(key)
+        if found is None:
+            found = self.intern_set(_SWEEPS[op](a, b))
+            self._memo_put(key, found)
+        return found
+
     def intersect(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         """Memoized ``a & b`` over interned operands (commutative key)."""
-        a = self.intern_set(a)
-        b = self.intern_set(b)
-        ia, ib = id(a), id(b)
-        key = (_OP_AND, ia, ib) if ia <= ib else (_OP_AND, ib, ia)
-        found = self._op_memo.get(key)
-        if found is not None:
-            self._op_memo.move_to_end(key)
-            return found
-        result = self.intern_set(a.intersect(b))
-        self._memo_put(key, result)
-        return result
+        return self._label_op(_OP_AND, self.intern_set(a), self.intern_set(b))
 
     def subtract(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         """Memoized ``a - b`` over interned operands."""
-        a = self.intern_set(a)
-        b = self.intern_set(b)
-        key = (_OP_SUB, id(a), id(b))
-        found = self._op_memo.get(key)
-        if found is not None:
-            self._op_memo.move_to_end(key)
-            return found
-        result = self.intern_set(a.subtract(b))
-        self._memo_put(key, result)
-        return result
+        return self._label_op(_OP_SUB, self.intern_set(a), self.intern_set(b))
 
     def union(self, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         """Memoized ``a | b`` over interned operands (commutative key)."""
-        a = self.intern_set(a)
-        b = self.intern_set(b)
-        ia, ib = id(a), id(b)
-        key = (_OP_OR, ia, ib) if ia <= ib else (_OP_OR, ib, ia)
-        found = self._op_memo.get(key)
-        if found is not None:
-            self._op_memo.move_to_end(key)
-            return found
-        result = self.intern_set(a.union(b))
-        self._memo_put(key, result)
-        return result
+        return self._label_op(_OP_OR, self.intern_set(a), self.intern_set(b))
+
+    def _covered(self, node: InternalNode) -> IntervalSet:
+        """The union of an *owned* node's edge labels, cached per node.
+
+        Folded through the pairwise memo, so the first computation
+        records the same ``union`` keys a per-visit fold would; later
+        visits of the (immutable) node read the cached union.
+        """
+        covered = self._coverage.get(id(node))
+        if covered is None:
+            covered = self.intern_set(IntervalSet.empty())
+            for edge in node.edges:
+                covered = self._label_op(_OP_OR, covered, edge.label)
+            self._coverage[id(node)] = covered
+        return covered
 
     # ------------------------------------------------------------------
     # Node interning
@@ -218,32 +238,32 @@ class NodeStore:
         construction algorithm's partial FDDs rely on every field being
         present on every path, exactly as in the reference implementation.
         """
-        merged: dict[int, list] = {}
-        order: list[int] = []
-        for label, child in edges:
-            key = id(child)
-            if key in merged:
-                merged[key][0] = self.union(merged[key][0], label)
-            else:
-                merged[key] = [self.intern_set(label), child]
-                order.append(key)
-        parts = sorted(
-            ((merged[key][0], merged[key][1]) for key in order),
-            key=lambda item: item[0].min(),
+        return self._node(
+            field_index, [(self.intern_set(label), child) for label, child in edges]
         )
-        signature = (field_index, tuple((id(label), id(child)) for label, child in parts))
+
+    def _node(
+        self, field_index: int, edges: Sequence[tuple[IntervalSet, Node]]
+    ) -> Node:
+        """:meth:`internal` over edges whose labels are already interned."""
+        merged: dict[int, list] = {}
+        for label, child in edges:
+            slot = merged.get(id(child))
+            if slot is None:
+                merged[id(child)] = [label, child]
+            else:
+                slot[0] = self._label_op(_OP_OR, slot[0], label)
+        parts = sorted(merged.values(), key=_label_min)
+        signature = (field_index, *map(id, chain.from_iterable(parts)))
         found = self._internals.get(signature)
         if found is None:
-            node = InternalNode(field_index)
-            for label, child in parts:
-                node.edges.append(Edge(label, child))
-            self._internals[signature] = node
-            self._owned.add(id(node))
+            found = InternalNode(field_index, [Edge(label, child) for label, child in parts])
+            self._internals[signature] = found
+            self._owned.add(id(found))
             self.nodes_created += 1
-            self.edges_created += len(node.edges)
+            self.edges_created += len(parts)
             if self.guard is not None:
                 self.guard.tick_nodes()
-            found = node
         return found
 
     def owns(self, node: Node) -> bool:
@@ -268,9 +288,18 @@ class NodeStore:
         internal nodes for fields ``index .. d-1`` ending in the decision
         terminal.
         """
+        interned = list(rule_sets)
+        for i in range(index, len(interned)):
+            interned[i] = self.intern_set(interned[i])
+        return self._chain(interned, decision, index)
+
+    def _chain(
+        self, rule_sets: Sequence[IntervalSet], decision: Decision, index: int
+    ) -> Node:
+        """:meth:`chain` over fields ``index ..`` whose sets are interned."""
         node: Node = self.terminal(decision)
         for i in range(len(rule_sets) - 1, index - 1, -1):
-            node = self.internal(i, [(rule_sets[i], node)])
+            node = self._node(i, [(rule_sets[i], node)])
         return node
 
     def append(
@@ -296,8 +325,9 @@ class NodeStore:
         subtrees are processed once per rule, and re-appending an
         identical rule to an identical node (across calls) is free.
         ``guard`` ticks one node per visit, mirroring the reference
-        construction's budget currency.  :meth:`prepend` is the same walk
-        with the rule placed first instead of last.
+        construction's budget currency.  A ``node`` the store does not
+        own is interned first (:meth:`intern`).  :meth:`prepend` is the
+        same walk with the rule placed first instead of last.
         """
         return self._put_rule(
             node, rule_sets, decision, self._append_memo, False, guard
@@ -338,44 +368,93 @@ class NodeStore:
     ) -> Node:
         """The walk behind :meth:`append` (``override=False``: a decided
         packet keeps its decision) and :meth:`prepend` (``override=True``:
-        the rule's decision replaces it)."""
+        the rule's decision replaces it).
+
+        Every label op goes through the pairwise memo, keyed on the ids
+        of already-interned operands, so a repeated op is one dict hit.
+        On a miss, an edge label disjoint from the rule's set meets it in
+        the empty set, and a label inside a one-interval rule set meets it
+        in itself with an empty remainder; only the other misses run an
+        interval sweep.  Node coverage comes from :meth:`_covered`.
+        """
+        node = self.intern(node)
         rule_sets = tuple(self.intern_set(s) for s in rule_sets)
         rule_key = (tuple(id(s) for s in rule_sets), decision)
+        rule_id = self._rule_ids.setdefault(rule_key, len(self._rule_ids))
+        # (min, max, one interval?) per rule set; an empty set meets nothing.
+        bounds = [
+            (s.min(), s.max(), s.is_single_interval()) if s else (0, -1, False)
+            for s in rule_sets
+        ]
         num_fields = len(rule_sets)
         if len(memo) > APPEND_MEMO_LIMIT:
             memo.clear()
         decided = self.terminal(decision) if override else None
+        intern = self.intern_set
+        sets = self._sets
+        # The interned empty set, once a coverage fold has interned it.
+        empty = sets.get(IntervalSet.empty())
+        op_memo = self._op_memo
+        memo_put = self._memo_put
 
         def rec(node: Node, index: int) -> Node:
+            nonlocal empty
             if guard is not None:
                 guard.tick_nodes()
             if isinstance(node, TerminalNode):
                 return node if decided is None else decided
-            key = (id(node), rule_key)
+            key = (id(node), rule_id)
             found = memo.get(key)
             if found is not None:
                 return found
             rule_set = rule_sets[index]
+            ir = id(rule_set)
+            low, high, whole = bounds[index]
+            covered = self._covered(node)
+            if empty is None:
+                empty = sets[IntervalSet.empty()]
             new_edges: list[tuple[IntervalSet, Node]] = []
-            covered = IntervalSet.empty()
+            changed = False
             for edge in node.edges:
-                common = self.intersect(edge.label, rule_set)
-                covered = self.union(covered, edge.label)
-                if common.is_empty():
-                    new_edges.append((edge.label, edge.target))
+                label = edge.label
+                target = edge.target
+                il = id(label)
+                op_key = (_OP_AND, il, ir) if il <= ir else (_OP_AND, ir, il)
+                common = op_memo.get(op_key)
+                if common is None:
+                    if label.max() < low or label.min() > high:
+                        common = empty
+                    elif whole and low <= label.min() and label.max() <= high:
+                        common = label
+                    else:
+                        common = intern(label.intersect(rule_set))
+                    memo_put(op_key, common)
+                if common is empty:
+                    new_edges.append((label, target))
                     continue
-                outside = self.subtract(edge.label, common)
-                if not outside.is_empty():
-                    new_edges.append((outside, edge.target))
-                new_edges.append((common, rec(edge.target, index + 1)))
-            uncovered = self.subtract(rule_set, covered)
-            if not uncovered.is_empty():
+                op_key = (_OP_SUB, il, id(common))
+                outside = op_memo.get(op_key)
+                if outside is None:
+                    outside = (
+                        empty if common is label else intern(label.subtract(common))
+                    )
+                    memo_put(op_key, outside)
+                if outside is not empty:
+                    new_edges.append((outside, target))
+                    changed = True
+                child = rec(target, index + 1)
+                new_edges.append((common, child))
+                changed = changed or child is not target
+            uncovered = self._label_op(_OP_SUB, rule_set, covered)
+            if uncovered is not empty:
                 if index + 1 == num_fields:
-                    target: Node = self.terminal(decision)
+                    target = self.terminal(decision)
                 else:
-                    target = self.chain(rule_sets, decision, index + 1)
+                    target = self._chain(rule_sets, decision, index + 1)
                 new_edges.append((uncovered, target))
-            result = self.internal(node.field_index, new_edges)
+                changed = True
+            # An unchanged edge list re-interns to ``node`` itself.
+            result = self._node(node.field_index, new_edges) if changed else node
             memo[key] = result
             return result
 
@@ -476,7 +555,15 @@ class NodeStore:
     # Accounting
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Allocation and table-size counters (bench and guard reports)."""
+        """Allocation and table-size counters (bench and guard reports).
+
+        ``op_memo`` counts the distinct label-op keys ``(op, id, id)`` the
+        store has seen, capped at the memo bound: an op decided without
+        an interval sweep still records its key.  The end-to-end
+        benchmark (``e2ebench``) draws its design-diff inputs by this
+        count, so a kernel change must keep it, like ``nodes_created``
+        and ``edges_created``, exactly as it was.
+        """
         return {
             "nodes_created": self.nodes_created,
             "edges_created": self.edges_created,
