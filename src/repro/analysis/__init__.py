@@ -4,7 +4,9 @@ The paper's headline workflows — diverse design (Sections 2/6/7.3) and
 change impact analysis (Section 1.3) — plus the supporting analyses:
 discrepancy records and aggregation, resolution Methods 1 and 2, semantic
 equivalence, redundancy removal [19], firewall queries [20], and rule
-anomaly detection in the style of [1].
+anomaly detection in the style of [1].  Findings for one policy come from
+:mod:`repro.lint`; lint, comparison and impact over a fleet from
+:mod:`repro.audit`.
 """
 
 from repro.analysis.aggregate import aggregate_discrepancies
@@ -30,9 +32,7 @@ from repro.analysis.effective import (
 from repro.analysis.equivalence import disputed_packet_count, equivalent
 from repro.analysis.impact import ChangeImpactReport, ImpactKind, analyze_change
 from repro.analysis.query_language import ParsedQuery, QuerySession, parse_query, run_query
-from repro.analysis.coverage import CoverageReport, RuleCoverage, coverage_report, measure_coverage
 from repro.analysis.queries import QueryResult, any_packet, decisions_in_region, query
-from repro.analysis.report import audit_change, audit_policy
 from repro.analysis.slicing import relevant_rules, slice_firewall
 from repro.analysis.redundancy import (
     find_redundant_rules,
@@ -53,7 +53,6 @@ __all__ = [
     "Anomaly",
     "ChangeImpactReport",
     "ComparisonReport",
-    "CoverageReport",
     "Discrepancy",
     "DiverseDesignSession",
     "EffectiveAnalysis",
@@ -64,18 +63,14 @@ __all__ = [
     "QueryResult",
     "QuerySession",
     "ResolvedDiscrepancy",
-    "RuleCoverage",
     "aggregate_discrepancies",
     "aggregate_resolutions",
     "analyze_change",
     "approximate_compare",
-    "audit_change",
-    "audit_policy",
     "any_packet",
     "compare_many",
     "compare_with_fallback",
     "corrected_fdd",
-    "coverage_report",
     "cross_compare",
     "decisions_in_region",
     "disputed_packet_count",
@@ -86,7 +81,6 @@ __all__ = [
     "find_upward_redundant",
     "format_discrepancy_table",
     "make_all_semi_isomorphic",
-    "measure_coverage",
     "parse_query",
     "prefer_team",
     "query",

@@ -17,7 +17,6 @@ files in the library's text format (see :mod:`repro.policy.parser`):
     $ python -m repro show policy.fw
     $ python -m repro fingerprint policy.fw
     $ python -m repro slice policy.fw "dst_ip=192.168.0.1"
-    $ python -m repro audit before.fw after.fw
     $ python -m repro audit --manifest fleet/ --baseline golden.fw \\
           --cache-dir .audit-cache --format sarif
 
@@ -425,21 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser(
         "audit",
         help=(
-            "Markdown audit of one policy/change, or a fleet-scale audit"
-            " with --manifest"
+            "lint, compare and impact over a fleet of policies as one"
+            " text/JSON/SARIF report"
         ),
-    )
-    audit.add_argument("policy", nargs="?")
-    audit.add_argument(
-        "after", nargs="?", help="when given, audit the change policy->after"
     )
     audit.add_argument(
         "--manifest",
-        default=None,
+        required=True,
         metavar="PATH",
         help=(
-            "fleet mode: a directory of *.fw policies or a JSON manifest"
-            " (tenants, budgets, baselines); see docs/auditing.md"
+            "a directory of *.fw policies or a JSON manifest (tenants,"
+            " budgets, baselines); see docs/auditing.md"
         ),
     )
     audit.add_argument(
@@ -967,24 +962,6 @@ def _parse_region(text: str, schema):
 
 
 def _cmd_audit(args) -> int:
-    if args.manifest is not None:
-        return _cmd_audit_fleet(args)
-    from repro.analysis import audit_change, audit_policy
-
-    if args.policy is None:
-        print(
-            "error: give a policy file, or --manifest for a fleet audit",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    if args.after is None:
-        sys.stdout.write(audit_policy(load(args.policy)))
-    else:
-        sys.stdout.write(audit_change(load(args.policy), load(args.after)))
-    return 0
-
-
-def _cmd_audit_fleet(args) -> int:
     from repro.analysis.impact import ImpactKind
     from repro.audit import (
         JsonAuditWriter,
@@ -996,12 +973,6 @@ def _cmd_audit_fleet(args) -> int:
         resolve_checkset,
     )
 
-    if args.policy is not None:
-        print(
-            "error: --manifest and a positional policy are mutually exclusive",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
     manifest = load_manifest(args.manifest, baseline=args.baseline)
     checkset = resolve_checkset(args.checks)
     if args.cache_max_mb is not None and args.cache_dir is None:

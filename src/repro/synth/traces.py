@@ -1,12 +1,12 @@
-"""Synthetic packet traces: workloads for evaluation and coverage analysis.
+"""Synthetic packet traces: workloads for evaluation and sampled comparison.
 
 Two generators, both seeded and deterministic:
 
 * :class:`BoundaryTraceGenerator` — packets biased toward rule-interval
   *boundaries*, where decisions flip.  Uniform sampling of a 2^104
   universe almost never lands near a rule edge; boundary bias makes
-  differential testing (two policies, same packets) and coverage
-  analysis actually exercise the policy structure.
+  differential testing (two policies, same packets) actually exercise
+  the policy structure.
 * :class:`FlowTraceGenerator` — timestamped bidirectional *flows*
   (request packets followed by replies), the natural input for the
   stateful firewall model (:mod:`repro.stateful`).

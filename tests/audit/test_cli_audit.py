@@ -1,8 +1,10 @@
-"""CLI tests for ``repro audit`` fleet mode: flags, formats, exit codes."""
+"""CLI tests for ``repro audit --manifest``: flags, formats, exit codes."""
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.cli import main
 from tests.audit.conftest import BASELINE_STRICT, POLICY_OPEN
@@ -10,11 +12,10 @@ from tests.audit.conftest import BASELINE_STRICT, POLICY_OPEN
 
 class TestArguments:
     def test_requires_policy_or_manifest(self, capsys):
-        assert main(["audit"]) == 2
-        assert "manifest" in capsys.readouterr().err.lower()
-
-    def test_policy_and_manifest_are_mutually_exclusive(self, fleet, capsys):
-        assert main(["audit", str(fleet / "core.fw"), "--manifest", str(fleet)]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["audit"])
+        assert exit_info.value.code == 2
+        assert "--manifest" in capsys.readouterr().err
 
     def test_missing_manifest_path(self, tmp_path, capsys):
         assert main(["audit", "--manifest", str(tmp_path / "ghost")]) == 2
@@ -23,9 +24,18 @@ class TestArguments:
     def test_bad_checks_spec(self, fleet, capsys):
         assert main(["audit", "--manifest", str(fleet), "--checks", "typo"]) == 2
 
-    def test_legacy_single_policy_mode_still_works(self, fleet, capsys):
-        assert main(["audit", str(fleet / "core.fw")]) == 0
-        assert "# Policy health:" in capsys.readouterr().out
+    @pytest.mark.parametrize("names", [["core.fw"], ["core.fw", "core.fw"]])
+    def test_positional_policies_rejected(self, fleet, names, capsys):
+        # One policy's findings: ``repro lint``; a change: ``repro impact``.
+        paths = [str(fleet / name) for name in names]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["audit", *paths])
+        assert exit_info.value.code == 2
+        assert "--manifest" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["audit", *paths, "--manifest", str(fleet)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFormats:

@@ -11,18 +11,26 @@ are drawn.
 
 The second half makes invariant 5 of ``docs/architecture.md`` executable
 for the per-node coverage cache: guard spend and budget trip points are
-the same on a cold store and on one whose coverage cache is warm.
+the same on a cold store and on one whose coverage cache is warm.  The
+last part does the same for invariant 1: children are interned before
+their parents, over canonical labels.
 """
 
 import pytest
+from hypothesis import given, settings
 
 import repro.fdd.store as store_module
 from repro.analysis.redundancy import find_redundant_rules
 from repro.exceptions import BudgetExceededError
+from repro.fdd import construct_fdd
 from repro.fdd.canonical import semantic_fingerprint
+from repro.fdd.node import InternalNode
 from repro.fdd.store import NodeStore
+from repro.fields import toy_schema
 from repro.guard import Budget, GuardContext
 from repro.synth import generate_firewall_pair
+
+from tests.conftest import firewalls
 
 #: (rules, seed, memo limit or None) -> stats after constructing both
 #: sides in one store, the sides' fingerprints, and the guard ticks of
@@ -176,3 +184,32 @@ def test_construct_trips_at_the_same_point_warm_or_cold(per_call_append_memo):
         trips.append((str(caught.value), guard.nodes_expanded))
     assert trips[0] == trips[1]
     assert trips[0][1] == limit + 1
+
+
+# ----------------------------------------------------------------------
+# Invariant 1: children are interned before parents
+# ----------------------------------------------------------------------
+TOY = toy_schema(9, 9)
+
+
+@given(firewalls(TOY, max_rules=5), firewalls(TOY, max_rules=5))
+@settings(max_examples=60, deadline=None)
+def test_children_interned_before_parents(built, prepended):
+    store = NodeStore()
+    store.construct(built)
+    rules = prepended.rules
+    root = store.chain(rules[-1].predicate.sets, rules[-1].decision)
+    for rule in reversed(rules[:-1]):
+        root = store.prepend(root, rule.predicate.sets, rule.decision)
+    assert store.intern(construct_fdd(prepended).root) is root
+
+    seen: set[int] = set()
+    for node in store._internals.values():
+        for edge in node.edges:
+            child = edge.target
+            if isinstance(child, InternalNode):
+                assert id(child) in seen
+            else:
+                assert store._terminals[child.decision] is child
+            assert store._sets[edge.label] is edge.label
+        seen.add(id(node))

@@ -1,7 +1,7 @@
 """Integration: a whole diverse-design engagement driven through the CLI.
 
 Simulates how two teams would actually use the tool: policies live in
-files, the comparison gates deployment (exit codes), the audit report
+files, the comparison gates deployment (exit codes), the impact report
 lands in the change ticket, and the final policy exports to the device.
 """
 
@@ -52,11 +52,9 @@ class TestEngagement:
         assert main(["equivalent", str(final_path), str(ref_path)]) == 0
         capsys.readouterr()
 
-        # 4. Audit report for the ticket: each team's delta to the final.
-        assert main(["audit", a, str(final_path)]) == 0
-        report = capsys.readouterr().out
-        assert "# Policy change audit" in report
-        assert "semantics changed" in report
+        # 4. Impact report for the ticket: each team's delta to the final.
+        assert main(["impact", a, str(final_path)]) == 1
+        assert "discrepancy region(s)" in capsys.readouterr().out
 
         # 5. The final policy's fingerprint pins the deployed artifact.
         assert main(["fingerprint", str(final_path)]) == 0
@@ -80,6 +78,6 @@ class TestEngagement:
         assert "newly allowed" in out
 
     def test_audit_single_policy(self, workspace, capsys):
-        assert main(["audit", str(workspace / "team_b.fw")]) == 0
+        assert main(["lint", str(workspace / "team_b.fw")]) == 0
         out = capsys.readouterr().out
-        assert "# Policy health" in out
+        assert "FW202" in out and "3 finding(s)" in out

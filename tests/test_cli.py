@@ -101,6 +101,7 @@ class TestJobs:
         argv = {
             "query": ["query", policies[0], "--batch", "-"],
             "serve-bench": ["serve-bench", policies[0]],
+            "audit": ["audit", "--manifest", str(Path(policies[0]).parent)],
             "chaos": ["chaos"],
         }.get(command, [command, *policies])
         with pytest.raises(SystemExit) as exit_info:
