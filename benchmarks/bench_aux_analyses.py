@@ -2,7 +2,7 @@
 
 Not paper figures, but the costs behind Section 6 (Method 2 runs
 redundancy removal) and Section 7.3 (N > 2 teams: cross comparison's
-N(N-1)/2 pipelines vs direct comparison's one N-way shaping).
+N(N-1)/2 product walks vs direct comparison's one N-way walk).
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import time
 from conftest import bench_rounds
 
 from repro.analysis import (
-    compare_many,
     cross_compare,
+    direct_compare,
     find_upward_redundant,
     remove_redundant_rules,
 )
@@ -76,7 +76,7 @@ def test_bench_multiteam_comparison(benchmark, report_saver):
         pairwise = cross_compare(versions)
         cross_ms = (time.perf_counter() - start) * 1000
         start = time.perf_counter()
-        regions = compare_many(versions)
+        regions = direct_compare(versions)
         direct_ms = (time.perf_counter() - start) * 1000
         rows.append(
             (
@@ -108,7 +108,7 @@ def test_bench_multiteam_comparison(benchmark, report_saver):
     report_saver("aux_multiteam", report)
     versions = [base, perturb(base, 0.1, seed=100)[0]]
     benchmark.pedantic(
-        lambda: compare_many(versions),
+        lambda: direct_compare(versions),
         rounds=bench_rounds(3),
         iterations=1,
     )

@@ -15,9 +15,8 @@ Run:  python examples/redesign_audit.py
 """
 
 from repro import aggregate_discrepancies, compare_firewalls
-from repro.analysis import compare_many
 from repro.bench import effectiveness_experiment
-from repro.synth import campus_87, flip_decision
+from repro.synth import campus_87
 
 
 def main() -> None:

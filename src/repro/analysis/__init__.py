@@ -20,9 +20,8 @@ from repro.analysis.discrepancy import (
 from repro.analysis.diverse_design import (
     DiverseDesignSession,
     MultiDiscrepancy,
-    compare_many,
     cross_compare,
-    make_all_semi_isomorphic,
+    direct_compare,
 )
 from repro.analysis.effective import (
     EffectiveAnalysis,
@@ -68,11 +67,11 @@ __all__ = [
     "analyze_change",
     "approximate_compare",
     "any_packet",
-    "compare_many",
     "compare_with_fallback",
     "corrected_fdd",
     "cross_compare",
     "decisions_in_region",
+    "direct_compare",
     "disputed_packet_count",
     "effective_rules",
     "equivalent",
@@ -80,7 +79,6 @@ __all__ = [
     "find_redundant_rules",
     "find_upward_redundant",
     "format_discrepancy_table",
-    "make_all_semi_isomorphic",
     "parse_query",
     "prefer_team",
     "query",

@@ -4,10 +4,10 @@
   same requirement specification (outside the library's scope; teams may
   use any of the design aids cited in the paper).
 * **Comparison phase** — all functional discrepancies among the versions
-  are computed.  For two teams this is the three-algorithm pipeline; for
-  ``N > 2`` teams Section 7.3 offers *cross comparison* (every pair) and
-  *direct comparison* (shape all N diagrams mutually semi-isomorphic and
-  walk them together); both are implemented here.
+  are computed.  For two teams this is one product walk
+  (:func:`repro.fdd.fast.compare_fast`); for ``N > 2`` teams Section 7.3 offers *cross comparison* (every pair) and
+  *direct comparison* (walk all N diagrams together, splitting on
+  every version's edges); both are implemented here.
 * **Resolution phase** — every discrepancy is resolved and a final,
   unanimously-agreed firewall is generated
   (:mod:`repro.analysis.resolution`).
@@ -25,16 +25,15 @@ from repro.analysis.aggregate import aggregate_discrepancies
 from repro.analysis.discrepancy import Discrepancy
 from repro.analysis.resolution import (
     ResolvedDiscrepancy,
+    _uncovered,
     resolve_by_corrected_fdd,
     resolve_by_patching,
     resolve_with,
 )
 from repro.exceptions import ResolutionError, SchemaError
-from repro.fdd.comparison import compare_firewalls
-from repro.fdd.construction import construct_fdd
-from repro.fdd.fdd import FDD
-from repro.fdd.node import InternalNode, Node, TerminalNode
-from repro.fdd.shaping import are_semi_isomorphic, make_semi_isomorphic
+from repro.fdd.fast import compare_fast
+from repro.fdd.node import Node, TerminalNode
+from repro.fdd.store import NodeStore
 from repro.intervals import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
@@ -42,8 +41,7 @@ from repro.policy.firewall import Firewall
 __all__ = [
     "MultiDiscrepancy",
     "cross_compare",
-    "make_all_semi_isomorphic",
-    "compare_many",
+    "direct_compare",
     "DiverseDesignSession",
 ]
 
@@ -88,76 +86,52 @@ def cross_compare(
     results: dict[tuple[int, int], list[Discrepancy]] = {}
     for i in range(len(firewalls)):
         for j in range(i + 1, len(firewalls)):
-            results[(i, j)] = compare_firewalls(firewalls[i], firewalls[j])
+            results[(i, j)] = compare_fast(firewalls[i], firewalls[j]).discrepancies()
     return results
 
 
-def make_all_semi_isomorphic(fdds: Sequence[FDD]) -> list[FDD]:
-    """Direct comparison's shaping step: N mutually semi-isomorphic FDDs.
-
-    Repeatedly shapes consecutive pairs.  Each pairwise shaping only
-    refines diagrams (splits edges, inserts nodes), and the refinement is
-    bounded by the common refinement of all N diagrams, so the passes
-    reach a fixpoint where every consecutive pair — and, by transitivity
-    of "identical except terminals", every pair — is semi-isomorphic.
-    """
-    if not fdds:
-        return []
-    schema = fdds[0].schema
-    for fdd in fdds:
-        if fdd.schema != schema:
-            raise SchemaError("all FDDs must share one field schema")
-    shaped = list(fdds)
-    while True:
-        for i in range(len(shaped) - 1):
-            shaped[i], shaped[i + 1] = make_semi_isomorphic(
-                shaped[i], shaped[i + 1]
-            )
-        if all(
-            are_semi_isomorphic(shaped[i], shaped[i + 1])
-            for i in range(len(shaped) - 1)
-        ):
-            return shaped
-
-
-def compare_many(firewalls: Sequence[Firewall]) -> list[MultiDiscrepancy]:
+def direct_compare(firewalls: Sequence[Firewall]) -> list[MultiDiscrepancy]:
     """Direct comparison (Section 7.3): N-way functional discrepancies.
 
-    Shapes all N FDDs mutually semi-isomorphic, then walks the companion
-    decision paths of all diagrams at once, reporting every region whose
-    decisions are not unanimous.
+    Builds all N FDDs in one :class:`~repro.fdd.store.NodeStore` and
+    walks them together.  Every store path tests every field, so the N
+    nodes reached at one level sit on the same field; intersecting their
+    edge labels across all N cuts boxes on which every version's decision
+    is fixed, as the paper's mutually semi-isomorphic shaping does (with
+    edges to one shared child left merged).  Where all N nodes are the
+    same shared node the versions agree on everything below it, so the
+    walk stops there.
     """
     if len(firewalls) < 2:
         raise SchemaError("direct comparison needs at least two firewalls")
-    shaped = make_all_semi_isomorphic(
-        [construct_fdd(fw) for fw in firewalls]
-    )
-    schema = shaped[0].schema
-    domains = tuple(f.domain_set for f in schema)
+    schema = firewalls[0].schema
+    if any(fw.schema != schema for fw in firewalls):
+        raise SchemaError("all firewalls must share one field schema")
+    store = NodeStore()
+    roots = tuple(store.construct(fw).root for fw in firewalls)
     out: list[MultiDiscrepancy] = []
 
     def rec(nodes: tuple[Node, ...], sets: tuple[IntervalSet, ...]) -> None:
         first = nodes[0]
+        if all(node is first for node in nodes):
+            return
         if isinstance(first, TerminalNode):
             decisions = tuple(node.decision for node in nodes)  # type: ignore[union-attr]
-            if len(set(decisions)) > 1:
-                out.append(MultiDiscrepancy(sets, decisions))
+            out.append(MultiDiscrepancy(sets, decisions))
             return
-        assert isinstance(first, InternalNode)
-        edge_lists = []
+        index = first.field_index
+        parts: list[tuple[IntervalSet, tuple[Node, ...]]] = [(sets[index], ())]
         for node in nodes:
-            assert isinstance(node, InternalNode)
-            edge_lists.append(sorted(node.edges, key=lambda e: e.label.min()))
-        for edges in zip(*edge_lists):
-            label = edges[0].label
-            new_sets = (
-                sets[: first.field_index]
-                + (label,)
-                + sets[first.field_index + 1:]
-            )
-            rec(tuple(edge.target for edge in edges), new_sets)
+            parts = [
+                (common, children + (edge.target,))
+                for label, children in parts
+                for edge in node.edges  # type: ignore[union-attr]
+                if not (common := store.intersect(label, edge.label)).is_empty()
+            ]
+        for label, children in parts:
+            rec(children, sets[:index] + (label,) + sets[index + 1:])
 
-    rec(tuple(f.root for f in shaped), domains)
+    rec(roots, tuple(f.domain_set for f in schema))
     return out
 
 
@@ -191,7 +165,7 @@ class DiverseDesignSession:
     # -- comparison phase ------------------------------------------------
     def discrepancies(self, a: int = 0, b: int = 1, *, aggregate: bool = True) -> list[Discrepancy]:
         """Functional discrepancies between versions ``a`` and ``b``."""
-        raw = compare_firewalls(self.firewalls[a], self.firewalls[b])
+        raw = compare_fast(self.firewalls[a], self.firewalls[b]).discrepancies()
         return aggregate_discrepancies(raw) if aggregate else raw
 
     def all_pairwise(self) -> dict[tuple[int, int], list[Discrepancy]]:
@@ -202,7 +176,7 @@ class DiverseDesignSession:
 
     def multi_discrepancies(self) -> list[MultiDiscrepancy]:
         """Direct N-way comparison (Section 7.3)."""
-        return compare_many(self.firewalls)
+        return direct_compare(self.firewalls)
 
     def unanimous(self) -> bool:
         """True when every pair of versions is already equivalent."""
@@ -267,18 +241,15 @@ class DiverseDesignSession:
         covered by resolution regions whose agreed decision matches the
         final firewall's decision on the cell.
         """
-        from repro.analysis.redundancy import _subtract_box
-
         for team_index in (a, b):
-            for disc in compare_firewalls(final, self.firewalls[team_index]):
-                leftover = [disc.sets]
-                for resolution in resolutions:
-                    if resolution.decision != disc.decision_a:
-                        continue
-                    leftover = _subtract_box(leftover, resolution.discrepancy.sets)
-                    if not leftover:
-                        break
-                if leftover:
+            deviations = compare_fast(final, self.firewalls[team_index])
+            for disc in deviations.discrepancies():
+                agreed = [
+                    resolution.discrepancy.sets
+                    for resolution in resolutions
+                    if resolution.decision == disc.decision_a
+                ]
+                if _uncovered(disc.sets, agreed):
                     raise ResolutionError(
                         "resolution produced a firewall that deviates from "
                         f"version {team_index} outside the agreed regions: "

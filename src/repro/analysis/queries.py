@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from repro.exceptions import QueryError
-from repro.fdd.construction import construct_fdd
+from repro.fdd.fast import construct_fdd_fast
 from repro.fdd.fdd import FDD
 from repro.fdd.node import InternalNode, Node, TerminalNode
 from repro.intervals import IntervalSet
@@ -62,6 +62,18 @@ def _collect(
         _collect(edge.target, new_sets, wanted, out)
 
 
+def _boxes(
+    firewall: Firewall | FDD, region: Predicate, wanted: Decision | None
+) -> list[tuple[tuple[IntervalSet, ...], Decision]]:
+    """The policy's decided boxes inside ``region`` (``wanted`` only, if set)."""
+    fdd = firewall if isinstance(firewall, FDD) else construct_fdd_fast(firewall)
+    if region.schema != fdd.schema:
+        raise QueryError("query region must use the firewall's field schema")
+    out: list[tuple[tuple[IntervalSet, ...], Decision]] = []
+    _collect(fdd.root, region.sets, wanted, out)
+    return out
+
+
 def query(
     firewall: Firewall | FDD,
     region: Predicate,
@@ -80,12 +92,8 @@ def query(
     >>> query(fw, Predicate.match_all(schema), ACCEPT).packet_count()
     5
     """
-    fdd = firewall if isinstance(firewall, FDD) else construct_fdd(firewall)
-    if region.schema != fdd.schema:
-        raise QueryError("query region must use the firewall's field schema")
-    out: list[tuple[tuple[IntervalSet, ...], Decision]] = []
-    _collect(fdd.root, region.sets, decision, out)
-    return QueryResult(tuple(Predicate(fdd.schema, sets) for sets, _ in out))
+    out = _boxes(firewall, region, decision)
+    return QueryResult(tuple(Predicate(region.schema, sets) for sets, _ in out))
 
 
 def any_packet(
@@ -104,13 +112,8 @@ def decisions_in_region(
     firewall: Firewall | FDD, region: Predicate
 ) -> dict[Decision, int]:
     """Exact per-decision packet counts inside ``region``."""
-    fdd = firewall if isinstance(firewall, FDD) else construct_fdd(firewall)
-    if region.schema != fdd.schema:
-        raise QueryError("query region must use the firewall's field schema")
-    out: list[tuple[tuple[IntervalSet, ...], Decision]] = []
-    _collect(fdd.root, region.sets, None, out)
     counts: dict[Decision, int] = {}
-    for sets, decision in out:
+    for sets, decision in _boxes(firewall, region, None):
         size = 1
         for values in sets:
             size *= values.count()

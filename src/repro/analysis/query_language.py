@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.analysis.queries import QueryResult, query
 from repro.exceptions import QueryError, ReproError
-from repro.fdd.construction import construct_fdd
+from repro.fdd.fast import construct_fdd_fast
 from repro.fdd.fdd import FDD
 from repro.intervals import IntervalSet
 from repro.policy.decision import Decision, parse_decision
@@ -151,7 +151,7 @@ class QuerySession:
 
     def __init__(self, firewall: Firewall):
         self.firewall = firewall
-        self.fdd = construct_fdd(firewall)
+        self.fdd = construct_fdd_fast(firewall)
 
     def ask(self, text: str) -> str:
         """Answer one query string."""

@@ -6,8 +6,8 @@ gives two methods, both implemented here, and they provably agree
 (property-tested):
 
 * **Method 1 — generate rules from the corrected FDD** (Section 6.1):
-  take either shaped FDD, overwrite the terminal of every disputed
-  decision path with the resolved decision, then generate a compact rule
+  take one team's FDD, overwrite its decisions inside every disputed
+  region with the resolved decision, then generate a compact rule
   sequence from the corrected diagram with the structured-design
   algorithms (reduction, marking, generation, compaction).
 
@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.analysis.discrepancy import Discrepancy
+from repro.analysis.redundancy import _subtract_box, remove_redundant_rules
 from repro.exceptions import ResolutionError
-from repro.fdd.construction import construct_fdd
+from repro.fdd.fast import build_difference
 from repro.fdd.fdd import FDD
 from repro.fdd.generation import generate_firewall
-from repro.fdd.node import InternalNode, Node, TerminalNode
-from repro.fdd.shaping import make_semi_isomorphic
+from repro.fdd.store import NodeStore
 from repro.intervals import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
@@ -139,20 +139,16 @@ def aggregate_resolutions(
     return merged
 
 
-def _resolution_for(
-    sets: tuple[IntervalSet, ...],
-    resolutions: Sequence[ResolvedDiscrepancy],
-) -> ResolvedDiscrepancy | None:
-    """The unique resolution whose region contains the box ``sets``.
-
-    Regions of distinct resolutions are disjoint, so containment of the
-    box's every field set decides membership.
-    """
-    for resolution in resolutions:
-        region = resolution.discrepancy.sets
-        if all(a.issubset(b) for a, b in zip(sets, region)):
-            return resolution
-    return None
+def _uncovered(
+    sets: tuple[IntervalSet, ...], regions: Iterable[tuple[IntervalSet, ...]]
+) -> list[tuple[IntervalSet, ...]]:
+    """The parts of the box ``sets`` that no box in ``regions`` covers."""
+    leftover = [sets]
+    for region in regions:
+        leftover = _subtract_box(leftover, region)
+        if not leftover:
+            break
+    return leftover
 
 
 def corrected_fdd(
@@ -160,48 +156,35 @@ def corrected_fdd(
     fw_b: Firewall,
     resolutions: Sequence[ResolvedDiscrepancy],
 ) -> FDD:
-    """Method 1, step 1: a shaped FDD with all disputed terminals fixed.
+    """Method 1, step 1: ``fw_a``'s FDD with every disputed region fixed.
 
-    Shapes the two firewalls' FDDs semi-isomorphic, walks the companion
-    paths, and overwrites the terminal of every path lying inside a
-    resolved region.  Raises :class:`ResolutionError` if some disputed
-    path is not covered by any resolution (the teams forgot one) — the
-    final firewall must be *unanimously agreed*, so partial resolutions
-    are rejected.
+    Builds both firewalls in one :class:`~repro.fdd.store.NodeStore` and
+    checks that the resolution regions cover every cell of their
+    difference diagram; if one is left uncovered (the teams forgot it),
+    raises :class:`ResolutionError` — the final firewall must be
+    *unanimously agreed*, so partial resolutions are rejected.  Then each
+    resolution's region and decision is put above ``fw_a``'s diagram with
+    :meth:`~repro.fdd.store.NodeStore.prepend`, which overwrites the
+    terminals inside the region.  Regions of distinct resolutions are
+    disjoint, so the order of the prepends does not matter.
     """
-    shaped_a, shaped_b = make_semi_isomorphic(
-        construct_fdd(fw_a), construct_fdd(fw_b)
-    )
-    schema = shaped_a.schema
-    domains = tuple(f.domain_set for f in schema)
-
-    def rec(na: Node, nb: Node, sets: tuple[IntervalSet, ...]) -> None:
-        if isinstance(na, TerminalNode):
-            assert isinstance(nb, TerminalNode)
-            resolution = _resolution_for(sets, resolutions)
-            if resolution is not None:
-                na.decision = resolution.decision
-            elif na.decision != nb.decision:
-                raise ResolutionError(
-                    "unresolved discrepancy at "
-                    + ", ".join(str(s) for s in sets)
-                    + f": a says {na.decision}, b says {nb.decision};"
-                    " every discrepancy must be resolved before generation"
-                )
-            return
-        assert isinstance(na, InternalNode) and isinstance(nb, InternalNode)
-        ea = sorted(na.edges, key=lambda e: e.label.min())
-        eb = sorted(nb.edges, key=lambda e: e.label.min())
-        for edge_a, edge_b in zip(ea, eb):
-            new_sets = (
-                sets[: na.field_index]
-                + (edge_a.label,)
-                + sets[na.field_index + 1:]
+    store = NodeStore()
+    fdd_a = store.construct(fw_a)
+    difference = build_difference(fdd_a, store.construct(fw_b), store=store)
+    regions = [resolution.discrepancy.sets for resolution in resolutions]
+    for cell in difference.discrepancies():
+        leftover = _uncovered(cell.sets, regions)
+        if leftover:
+            raise ResolutionError(
+                "unresolved discrepancy at "
+                + ", ".join(str(s) for s in leftover[0])
+                + f": a says {cell.decision_a}, b says {cell.decision_b};"
+                " every discrepancy must be resolved before generation"
             )
-            rec(edge_a.target, edge_b.target, new_sets)
-
-    rec(shaped_a.root, shaped_b.root, domains)
-    return shaped_a
+    root = fdd_a.root
+    for resolution in resolutions:
+        root = store.prepend(root, resolution.discrepancy.sets, resolution.decision)
+    return FDD(fw_a.schema, root)
 
 
 def resolve_by_corrected_fdd(
@@ -213,14 +196,14 @@ def resolve_by_corrected_fdd(
 ) -> Firewall:
     """Method 1 (Section 6.1): correct an FDD, then generate rules from it.
 
-    >>> from repro.fdd import compare_firewalls
+    >>> from repro.fdd import compare_fast
     >>> from repro.fields import toy_schema
     >>> from repro.policy import Firewall, Rule, ACCEPT, DISCARD
     >>> schema = toy_schema(9)
     >>> fa = Firewall(schema, [Rule.build(schema, ACCEPT)])
     >>> fb = Firewall(schema, [Rule.build(schema, DISCARD, F1=(0, 4)),
     ...                        Rule.build(schema, ACCEPT)])
-    >>> discs = compare_firewalls(fa, fb)
+    >>> discs = compare_fast(fa, fb).discrepancies()
     >>> final = resolve_by_corrected_fdd(fa, fb, prefer_team(discs, "b"))
     >>> final((2,)) == DISCARD and final((7,)) == ACCEPT
     True
@@ -252,7 +235,5 @@ def resolve_by_patching(
         base_decision = disc.decision_a if base_is == "a" else disc.decision_b
         if base_decision != resolution.decision:
             fixes.append(resolution.correcting_rule())
-    from repro.analysis.redundancy import remove_redundant_rules
-
     patched = base.prepend(*fixes) if fixes else base
     return remove_redundant_rules(patched).with_name(name)

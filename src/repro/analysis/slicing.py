@@ -11,10 +11,10 @@ that affect the region only through first-match shadowing.
 
 from __future__ import annotations
 
-from repro.fdd.construction import construct_fdd
 from repro.fdd.fdd import FDD
 from repro.fdd.generation import generate_firewall
-from repro.fdd.node import Edge, InternalNode, Node, TerminalNode
+from repro.fdd.node import Node, TerminalNode
+from repro.fdd.store import NodeStore
 from repro.exceptions import QueryError
 from repro.intervals import IntervalSet
 from repro.policy.decision import DISCARD, Decision
@@ -45,36 +45,38 @@ def slice_firewall(
     >>> narrow((2, 3)) == fw((2, 3))
     True
     """
-    fdd = firewall if isinstance(firewall, FDD) else construct_fdd(firewall)
+    store = NodeStore()
+    fdd = firewall if isinstance(firewall, FDD) else store.construct(firewall)
     if region.schema != fdd.schema:
         raise QueryError("slice region must use the firewall's field schema")
+    outside_terminal = store.terminal(outside)
+    memo: dict[int, Node] = {}
 
-    outside_terminal = TerminalNode(outside)
-
-    def restrict(node: Node, depth_sets: tuple[IntervalSet, ...]) -> Node:
+    def restrict(node: Node) -> Node:
+        found = memo.get(id(node))
+        if found is not None:
+            return found
         if isinstance(node, TerminalNode):
-            return TerminalNode(node.decision)
-        fresh = InternalNode(node.field_index)
-        wanted = region.sets[node.field_index]
-        uncovered = fdd.schema.domain(node.field_index)
-        for edge in node.edges:
-            keep = edge.label & wanted
-            drop = edge.label - wanted
-            if not keep.is_empty():
-                fresh.edges.append(Edge(keep, restrict(edge.target, depth_sets)))
-                uncovered = uncovered - keep
-            if not drop.is_empty():
-                fresh.edges.append(Edge(drop, outside_terminal))
-                uncovered = uncovered - drop
-        if not uncovered.is_empty():  # pragma: no cover - completeness guard
-            fresh.edges.append(Edge(uncovered, outside_terminal))
-        return fresh
+            made: Node = store.terminal(node.decision)
+        else:
+            wanted = region.sets[node.field_index]
+            edges: list[tuple[IntervalSet, Node]] = []
+            for edge in node.edges:
+                keep = edge.label & wanted
+                drop = edge.label - wanted
+                if not keep.is_empty():
+                    edges.append((keep, restrict(edge.target)))
+                if not drop.is_empty():
+                    edges.append((drop, outside_terminal))
+            made = store.internal(node.field_index, edges)
+        memo[id(node)] = made
+        return made
 
-    sliced = FDD(fdd.schema, restrict(fdd.root, region.sets))
+    sliced = FDD(fdd.schema, restrict(fdd.root))
     label = name or (
         f"{getattr(firewall, 'name', '') or 'policy'}[{region.describe()}]"
     )
-    return generate_firewall(sliced, name=label)
+    return generate_firewall(sliced, name=label, store=store)
 
 
 def relevant_rules(firewall: Firewall, region: Predicate) -> list[int]:

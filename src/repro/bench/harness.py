@@ -378,7 +378,7 @@ def effectiveness_experiment(
     """
     import random
 
-    from repro.fdd.comparison import compare_firewalls
+    from repro.fdd.fast import compare_fast
     from repro.synth.perturb import flip_decision
 
     rng = random.Random(seed)
@@ -397,7 +397,7 @@ def effectiveness_experiment(
         if len(ordering_moved) >= ordering_errors:
             break
         moved = original.move(index, 0)
-        if compare_firewalls(original, moved):
+        if compare_fast(original, moved).has_discrepancy():
             original = moved
             ordering_moved.append(index)
     deleted: list[int] = []
@@ -410,7 +410,7 @@ def effectiveness_experiment(
             slimmer = original.remove(index)
         except Exception:  # pragma: no cover - catch-all protection
             continue
-        if compare_firewalls(original, slimmer):
+        if compare_fast(original, slimmer).has_discrepancy():
             original = slimmer
             deleted.append(index)
 
@@ -428,7 +428,7 @@ def effectiveness_experiment(
             break
         rule = redesign[index]
         changed = redesign.replace(index, rule.with_decision(flip_decision(rule.decision)))
-        if compare_firewalls(redesign, changed):
+        if compare_fast(redesign, changed).has_discrepancy():
             redesign = changed
             flipped += 1
 
@@ -436,9 +436,9 @@ def effectiveness_experiment(
     # A three-way direct comparison (Section 7.3) against the intended
     # policy classifies every original-vs-redesign region by who deviates
     # from ground truth — no sampling.
-    from repro.analysis.diverse_design import compare_many
+    from repro.analysis.diverse_design import direct_compare
 
-    multi = compare_many([original, redesign, ground])
+    multi = direct_compare([original, redesign, ground])
     by_class: dict[str, list] = {"original": [], "redesign": [], "both": []}
     for region in multi:
         dec_original, dec_redesign, dec_ground = region.decisions

@@ -12,7 +12,6 @@
   engine built on them (see ``docs/architecture.md``).
 """
 
-from repro.fdd.builder import FDDBuilder, reorder_fdd
 from repro.fdd.canonical import canonical_fdd, fingerprint_canonical, semantic_fingerprint
 from repro.fdd.viz import to_ascii, to_dot
 from repro.fdd.comparison import compare_direct, compare_fdds, compare_firewalls, compare_shaped
@@ -30,7 +29,6 @@ from repro.fdd.store import NodeStore
 
 __all__ = [
     "FDD",
-    "FDDBuilder",
     "DecisionPath",
     "Edge",
     "FDDStats",
@@ -58,7 +56,6 @@ __all__ = [
     "node_load",
     "product_fold",
     "reduce_fdd",
-    "reorder_fdd",
     "semantic_fingerprint",
     "to_ascii",
     "to_dot",

@@ -1,21 +1,17 @@
 """Tests for the diverse-design workflow, including N > 2 teams (Sec. 7.3)."""
 
 import pytest
-from hypothesis import given, settings
 
 from repro.analysis import (
     DiverseDesignSession,
-    compare_many,
     cross_compare,
+    direct_compare,
     equivalent,
-    make_all_semi_isomorphic,
 )
 from repro.exceptions import SchemaError
-from repro.fdd import are_semi_isomorphic, construct_fdd
 from repro.fields import enumerate_universe, toy_schema
 from repro.policy import ACCEPT, DISCARD, Firewall, Rule
 
-from tests.conftest import firewalls
 
 SCHEMA = toy_schema(9, 9)
 
@@ -48,44 +44,10 @@ class TestCrossCompare:
         assert packets == {3, 4}
 
 
-class TestMultiwayShaping:
-    def test_three_way_semi_isomorphic(self):
-        fdds = [construct_fdd(fw) for fw in three_teams()]
-        shaped = make_all_semi_isomorphic(fdds)
-        for i in range(len(shaped)):
-            for j in range(i + 1, len(shaped)):
-                assert are_semi_isomorphic(shaped[i], shaped[j])
-
-    def test_semantics_preserved(self):
-        teams = three_teams()
-        shaped = make_all_semi_isomorphic([construct_fdd(fw) for fw in teams])
-        for fw, fdd in zip(teams, shaped):
-            for packet in enumerate_universe(SCHEMA):
-                assert fdd.evaluate(packet) == fw(packet)
-
-    def test_empty_list(self):
-        assert make_all_semi_isomorphic([]) == []
-
-    @given(
-        firewalls(SCHEMA, max_rules=3),
-        firewalls(SCHEMA, max_rules=3),
-        firewalls(SCHEMA, max_rules=3),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_multiway_property(self, f1, f2, f3):
-        shaped = make_all_semi_isomorphic(
-            [construct_fdd(f) for f in (f1, f2, f3)]
-        )
-        assert are_semi_isomorphic(shaped[0], shaped[2])
-        for fw, fdd in zip((f1, f2, f3), shaped):
-            for packet in list(enumerate_universe(SCHEMA))[::11]:
-                assert fdd.evaluate(packet) == fw(packet)
-
-
 class TestCompareMany:
     def test_direct_comparison_exact(self):
         teams = three_teams()
-        regions = compare_many(teams)
+        regions = direct_compare(teams)
         # Rebuild the disagreement map by brute force.
         expected = {}
         for packet in enumerate_universe(SCHEMA):
@@ -100,13 +62,18 @@ class TestCompareMany:
         assert covered == expected
 
     def test_describe(self):
-        regions = compare_many(three_teams())
+        regions = direct_compare(three_teams())
         text = regions[0].describe(SCHEMA)
         assert "team 1" in text and "team 3" in text
 
     def test_needs_two(self):
         with pytest.raises(SchemaError):
-            compare_many(three_teams()[:1])
+            direct_compare(three_teams()[:1])
+
+    def test_schema_mismatch(self):
+        other = toy_schema(9, 9, 9)
+        with pytest.raises(SchemaError):
+            direct_compare([three_teams()[0], Firewall(other, [Rule.build(other, ACCEPT)])])
 
 
 class TestSession:

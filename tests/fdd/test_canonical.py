@@ -45,12 +45,18 @@ class TestFingerprint:
         assert semantic_fingerprint(construct_fdd(fw)) == semantic_fingerprint(fw)
 
     def test_nonordered_fdd_normalized(self):
-        from repro.fdd import FDDBuilder
+        from repro.fdd import FDD, Edge, InternalNode, TerminalNode
+        from repro.intervals import IntervalSet
 
-        b = FDDBuilder(SCHEMA)
-        inner = b.node("F1").edge("0-3", ACCEPT).otherwise(DISCARD)
-        root = b.node("F2").edge("0-9", inner)
-        designed = b.finish(root)
+        # F2 tested above F1: a valid FDD in the wrong field order.
+        inner = InternalNode(0)
+        inner.edges.append(Edge(IntervalSet.span(0, 3), TerminalNode(ACCEPT)))
+        inner.edges.append(Edge(IntervalSet.span(4, 9), TerminalNode(DISCARD)))
+        root = InternalNode(1)
+        root.edges.append(Edge(IntervalSet.span(0, 9), inner))
+        designed = FDD(SCHEMA, root)
+        designed.validate()
+        assert not designed.is_ordered()
         reference = Firewall(SCHEMA, [r(ACCEPT, F1="0-3"), r(DISCARD)])
         assert semantic_fingerprint(designed) == semantic_fingerprint(reference)
 

@@ -14,12 +14,23 @@ layers:
   (:func:`repro.synth.generate_firewall_pair` + Fig. 12 perturbation),
   which produces the realistic near-duplicate pairs the fingerprint
   satellite requires.
+
+The paper's own applications — N-way direct comparison (Section 7.3)
+and resolution Method 1 (Section 6.1) — are checked the same way, against
+pairwise reference comparison and brute force over the toy universe.
 """
 
-from hypothesis import given, settings
+from itertools import combinations, product
 
-from repro.fields import toy_schema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import ResolutionError
+from repro.fields import enumerate_universe, toy_schema
 from repro.policy import Firewall
+from repro.analysis.diverse_design import direct_compare
+from repro.analysis.resolution import ResolvedDiscrepancy, resolve_by_corrected_fdd
 from repro.analysis.effective import effective_rules
 from repro.analysis.redundancy import find_upward_redundant
 from repro.analysis.equivalence import disputed_packet_count, equivalent
@@ -36,7 +47,7 @@ from repro.fdd.reduce import reduce_fdd
 from repro.fdd.store import NodeStore
 from repro.synth import generate_firewall_pair, perturb
 
-from tests.conftest import firewalls
+from tests.conftest import decisions, firewalls
 
 SCHEMA = toy_schema(19, 9)
 
@@ -203,3 +214,74 @@ def test_dead_rule_detectors_agree(fw):
 def test_dead_rule_detectors_agree_on_corpus():
     for fw in generate_firewall_pair(30, seed=7):
         assert find_upward_redundant(fw) == effective_rules(fw).dead_indices()
+
+
+# ----------------------------------------------------------------------
+# The paper's applications: N-way direct comparison and Method 1
+# ----------------------------------------------------------------------
+
+
+def _packets(sets):
+    """Every packet of a (small) box."""
+    return product(*(list(values) for values in sets))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    firewalls(SCHEMA, max_rules=4, include_log=True),
+    firewalls(SCHEMA, max_rules=4, include_log=True),
+    firewalls(SCHEMA, max_rules=4, include_log=True),
+)
+def test_direct_compare_matches_pairwise_reference(f1, f2, f3):
+    """A packet is disputed N-way iff some pair disagrees on it, with the
+    same decision vector.  Every version of a disputed packet disagrees
+    with some other version, so the pairwise cells fill the whole vector."""
+    versions = (f1, f2, f3)
+    expected: dict[tuple[int, ...], list] = {}
+    for i, j in combinations(range(len(versions)), 2):
+        for disc in compare_firewalls(versions[i], versions[j]):
+            for packet in _packets(disc.sets):
+                vector = expected.setdefault(packet, [None] * len(versions))
+                for index, decision in ((i, disc.decision_a), (j, disc.decision_b)):
+                    assert vector[index] in (None, decision)
+                    vector[index] = decision
+    found: dict[tuple[int, ...], list] = {}
+    for region in direct_compare(versions):
+        for packet in _packets(region.sets):
+            assert packet not in found
+            found[packet] = list(region.decisions)
+    assert found == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    firewalls(SCHEMA, max_rules=4, include_log=True),
+    firewalls(SCHEMA, max_rules=4, include_log=True),
+    st.booleans(),
+    st.data(),
+)
+def test_store_method1_matches_brute_force(fw_a, fw_b, reference_cells, data):
+    """Method 1 gives the chosen decision inside every disputed cell and
+    ``fw_a``'s decision everywhere else, whichever engine cut the cells;
+    leaving one cell unresolved is rejected."""
+    if reference_cells:
+        cells = compare_firewalls(fw_a, fw_b)
+    else:
+        cells = compare_fast(fw_a, fw_b).discrepancies()
+    resolutions = [
+        ResolvedDiscrepancy(cell, data.draw(decisions(include_log=True)))
+        for cell in cells
+    ]
+    final = resolve_by_corrected_fdd(fw_a, fw_b, resolutions)
+    chosen = {
+        packet: resolution.decision
+        for resolution in resolutions
+        for packet in _packets(resolution.discrepancy.sets)
+    }
+    for packet in enumerate_universe(SCHEMA):
+        packet = tuple(packet)
+        assert (fw_a(packet) != fw_b(packet)) == (packet in chosen)
+        assert final(packet) == chosen.get(packet, fw_a(packet))
+    if resolutions:
+        with pytest.raises(ResolutionError, match="unresolved"):
+            resolve_by_corrected_fdd(fw_a, fw_b, resolutions[1:])

@@ -1,9 +1,7 @@
 """Every script under ``examples/`` runs to completion (exit 0).
 
 Each example runs in a fresh interpreter with ``PYTHONPATH=src``, as its
-``Run:`` line says.  ``redesign_audit.py`` is left to CI's
-``examples-smoke`` job: it takes about 30 s (the campus-87 effectiveness
-experiment), against well under a second for each of the others.
+``Run:`` line says.
 """
 
 from __future__ import annotations
@@ -16,10 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SLOW = {"redesign_audit.py"}
-EXAMPLES = sorted(
-    path.name for path in (ROOT / "examples").glob("*.py") if path.name not in SLOW
-)
+EXAMPLES = sorted(path.name for path in (ROOT / "examples").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
