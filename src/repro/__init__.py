@@ -25,99 +25,53 @@ Quickstart::
         print(disc.describe())
 """
 
-from repro.analysis import (
-    ChangeImpactReport,
-    ComparisonReport,
-    Discrepancy,
-    DiverseDesignSession,
-    aggregate_discrepancies,
-    analyze_change,
-    compare_with_fallback,
-    equivalent,
-    format_discrepancy_table,
-    prefer_team,
-    resolve_by_corrected_fdd,
-    resolve_by_patching,
-    resolve_with,
-)
-from repro.exceptions import BudgetExceededError, CancelledError, LintError, ReproError
-from repro.guard import Budget, FaultInjector, GuardContext
-from repro.lint import Diagnostic, LintReport, run_lint
-from repro.fdd import (
-    FDD,
-    compare_direct,
-    compare_fdds,
-    compare_firewalls,
-    construct_fdd,
-    generate_firewall,
-    make_semi_isomorphic,
-)
-from repro.fields import (
-    FieldSchema,
-    Packet,
-    interface_schema,
-    standard_schema,
-    toy_schema,
-)
-from repro.intervals import Interval, IntervalSet
-from repro.policy import (
-    ACCEPT,
-    ACCEPT_LOG,
-    DISCARD,
-    DISCARD_LOG,
-    Decision,
-    Firewall,
-    Predicate,
-    Rule,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ACCEPT",
-    "ACCEPT_LOG",
-    "Budget",
-    "BudgetExceededError",
-    "CancelledError",
-    "ChangeImpactReport",
-    "ComparisonReport",
-    "DISCARD",
-    "DISCARD_LOG",
-    "Decision",
-    "Diagnostic",
-    "Discrepancy",
-    "DiverseDesignSession",
-    "FDD",
-    "LintError",
-    "LintReport",
-    "FaultInjector",
-    "FieldSchema",
-    "Firewall",
-    "GuardContext",
-    "Interval",
-    "IntervalSet",
-    "Packet",
-    "Predicate",
-    "ReproError",
-    "Rule",
-    "__version__",
-    "aggregate_discrepancies",
-    "analyze_change",
-    "compare_direct",
-    "compare_fdds",
-    "compare_firewalls",
-    "compare_with_fallback",
-    "construct_fdd",
-    "equivalent",
-    "format_discrepancy_table",
-    "generate_firewall",
-    "interface_schema",
-    "make_semi_isomorphic",
-    "prefer_team",
-    "resolve_by_corrected_fdd",
-    "resolve_by_patching",
-    "resolve_with",
-    "run_lint",
-    "standard_schema",
-    "toy_schema",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.aggregate": ("aggregate_discrepancies",),
+        "repro.analysis.approximate": ("compare_with_fallback",),
+        "repro.analysis.discrepancy": (
+            "ComparisonReport",
+            "Discrepancy",
+            "format_discrepancy_table",
+        ),
+        "repro.analysis.diverse_design": ("DiverseDesignSession",),
+        "repro.analysis.equivalence": ("equivalent",),
+        "repro.analysis.impact": ("ChangeImpactReport", "analyze_change"),
+        "repro.analysis.resolution": (
+            "prefer_team",
+            "resolve_by_corrected_fdd",
+            "resolve_by_patching",
+            "resolve_with",
+        ),
+        "repro.exceptions": ("BudgetExceededError", "CancelledError", "LintError", "ReproError"),
+        "repro.fdd.comparison": ("compare_direct", "compare_fdds", "compare_firewalls"),
+        "repro.fdd.construction": ("construct_fdd",),
+        "repro.fdd.fdd": ("FDD",),
+        "repro.fdd.generation": ("generate_firewall",),
+        "repro.fdd.shaping": ("make_semi_isomorphic",),
+        "repro.fields.packet": ("Packet",),
+        "repro.fields.schema": (
+            "FieldSchema",
+            "interface_schema",
+            "standard_schema",
+            "toy_schema",
+        ),
+        "repro.guard.budget": ("Budget",),
+        "repro.guard.context": ("GuardContext",),
+        "repro.guard.fault": ("FaultInjector",),
+        "repro.intervals.interval": ("Interval",),
+        "repro.intervals.intervalset": ("IntervalSet",),
+        "repro.lint.diagnostic": ("Diagnostic", "LintReport"),
+        "repro.lint.engine": ("run_lint",),
+        "repro.policy.decision": ("ACCEPT", "ACCEPT_LOG", "DISCARD", "DISCARD_LOG", "Decision"),
+        "repro.policy.firewall": ("Firewall",),
+        "repro.policy.predicate": ("Predicate",),
+        "repro.policy.rule": ("Rule",),
+    },
+    defined=("__version__",),
+)

@@ -5,38 +5,39 @@ and service names; the algorithms consume integer intervals; output is
 converted back to prefixes and names so discrepancies read like rules.
 """
 
-from repro.addr.ipv4 import IPV4_BITS, IPV4_MAX, ascii_digits, int_to_ip, ip_to_int, is_valid_ip
-from repro.addr.ports import PORT_MAX, SERVICES, format_port_set, parse_port, parse_port_range
-from repro.addr.prefix import (
-    Prefix,
-    format_ip_set,
-    interval_to_prefixes,
-    intervalset_to_prefixes,
-    parse_prefix,
-    prefix_to_interval,
-)
-from repro.addr.protocol import PROTOCOL_MAX, PROTOCOLS, format_protocol_set, parse_protocol
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IPV4_BITS",
-    "IPV4_MAX",
-    "PORT_MAX",
-    "PROTOCOL_MAX",
-    "PROTOCOLS",
-    "Prefix",
-    "SERVICES",
-    "ascii_digits",
-    "format_ip_set",
-    "format_port_set",
-    "format_protocol_set",
-    "int_to_ip",
-    "interval_to_prefixes",
-    "intervalset_to_prefixes",
-    "ip_to_int",
-    "is_valid_ip",
-    "parse_port",
-    "parse_port_range",
-    "parse_prefix",
-    "parse_protocol",
-    "prefix_to_interval",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.addr.ipv4": (
+            "IPV4_BITS",
+            "IPV4_MAX",
+            "ascii_digits",
+            "int_to_ip",
+            "ip_to_int",
+            "is_valid_ip",
+        ),
+        "repro.addr.ports": (
+            "PORT_MAX",
+            "SERVICES",
+            "format_port_set",
+            "parse_port",
+            "parse_port_range",
+        ),
+        "repro.addr.prefix": (
+            "Prefix",
+            "format_ip_set",
+            "interval_to_prefixes",
+            "intervalset_to_prefixes",
+            "parse_prefix",
+            "prefix_to_interval",
+        ),
+        "repro.addr.protocol": (
+            "PROTOCOL_MAX",
+            "PROTOCOLS",
+            "format_protocol_set",
+            "parse_protocol",
+        ),
+    },
+)

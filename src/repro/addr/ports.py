@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from repro.addr.ipv4 import ascii_digits
 from repro.exceptions import AddressError
-from repro.intervals import Interval, IntervalSet
+from repro.intervals.interval import Interval
+from repro.intervals.intervalset import IntervalSet
 
 __all__ = [
     "PORT_BITS",

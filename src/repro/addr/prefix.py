@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import AddressError
-from repro.intervals import Interval, IntervalSet
+from repro.intervals.interval import Interval
+from repro.intervals.intervalset import IntervalSet
 from repro.addr.ipv4 import IPV4_BITS, IPV4_MAX, ascii_digits, int_to_ip, ip_to_int
 
 __all__ = [

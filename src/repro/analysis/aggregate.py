@@ -16,7 +16,7 @@ from collections import defaultdict
 from typing import Sequence
 
 from repro.analysis.discrepancy import Discrepancy
-from repro.intervals import IntervalSet
+from repro.intervals.intervalset import IntervalSet
 
 __all__ = ["aggregate_discrepancies"]
 

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from repro.analysis.discrepancy import ComparisonReport, Discrepancy
 from repro.exceptions import BudgetExceededError, SchemaError
-from repro.guard import Budget, GuardContext
-from repro.intervals import IntervalSet
+from repro.guard.budget import Budget
+from repro.guard.context import GuardContext
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.firewall import Firewall
 from repro.synth.traces import BoundaryTraceGenerator
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.fields import FieldSchema, Packet
-from repro.intervals import IntervalSet
+from repro.fields.packet import Packet
+from repro.fields.schema import FieldSchema
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.predicate import Predicate
 from repro.policy.rule import Rule

@@ -34,7 +34,7 @@ from repro.exceptions import ResolutionError, SchemaError
 from repro.fdd.fast import compare_fast
 from repro.fdd.node import Node, TerminalNode
 from repro.fdd.store import NodeStore
-from repro.intervals import IntervalSet
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 

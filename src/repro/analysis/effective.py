@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from repro.fdd.fdd import FDD
 from repro.fdd.node import TerminalNode, iter_nodes
 from repro.fdd.store import NodeStore
-from repro.guard import GuardContext
-from repro.intervals import IntervalSet
+from repro.guard.context import GuardContext
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.analysis.redundancy import _subtract_box

@@ -15,7 +15,7 @@ paper-literal construct/shape/compare pipeline on the synthesized corpus.
 from __future__ import annotations
 
 from repro.fdd.fast import compare_fast
-from repro.guard import GuardContext
+from repro.guard.context import GuardContext
 from repro.policy.firewall import Firewall
 
 __all__ = ["equivalent", "disputed_packet_count"]

@@ -14,7 +14,7 @@ from repro.exceptions import QueryError
 from repro.fdd.fast import construct_fdd_fast
 from repro.fdd.fdd import FDD
 from repro.fdd.node import InternalNode, Node, TerminalNode
-from repro.intervals import IntervalSet
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.policy.predicate import Predicate

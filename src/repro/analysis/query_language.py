@@ -30,7 +30,7 @@ from repro.analysis.queries import QueryResult, query
 from repro.exceptions import QueryError, ReproError
 from repro.fdd.fast import construct_fdd_fast
 from repro.fdd.fdd import FDD
-from repro.intervals import IntervalSet
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision, parse_decision
 from repro.policy.firewall import Firewall
 from repro.policy.predicate import Predicate

@@ -35,9 +35,9 @@ from typing import Iterator, Sequence
 from repro.fdd.node import InternalNode, Node, TerminalNode
 from repro.fdd.passes import fold
 from repro.fdd.store import NodeStore
-from repro.fields import FieldSchema
-from repro.guard import GuardContext
-from repro.intervals import IntervalSet
+from repro.fields.schema import FieldSchema
+from repro.guard.context import GuardContext
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.firewall import Firewall
 from repro.policy.rule import Rule
 

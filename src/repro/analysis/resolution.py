@@ -29,7 +29,7 @@ from repro.fdd.fast import build_difference
 from repro.fdd.fdd import FDD
 from repro.fdd.generation import generate_firewall
 from repro.fdd.store import NodeStore
-from repro.intervals import IntervalSet
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.policy.rule import Rule

@@ -16,7 +16,7 @@ from repro.fdd.generation import generate_firewall
 from repro.fdd.node import Node, TerminalNode
 from repro.fdd.store import NodeStore
 from repro.exceptions import QueryError
-from repro.intervals import IntervalSet
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import DISCARD, Decision
 from repro.policy.firewall import Firewall
 from repro.policy.predicate import Predicate

@@ -32,57 +32,33 @@ makes the repeat runs cheap and the answers aggregated:
 See ``docs/auditing.md`` for the full workflow and the cache's design.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.audit.cache import CacheEntry, ResultCache
-from repro.audit.checkset import (
-    STAGES,
-    AuditCheckSetError,
-    CheckSet,
-    resolve_checkset,
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.audit.cache": ("CacheEntry", "ResultCache"),
+        "repro.audit.checkset": ("STAGES", "AuditCheckSetError", "CheckSet", "resolve_checkset"),
+        "repro.audit.manifest": (
+            "AuditManifestError",
+            "FleetManifest",
+            "PolicyEntry",
+            "TenantBudget",
+            "load_manifest",
+        ),
+        "repro.audit.pipeline": (
+            "AuditStats",
+            "FleetAuditReport",
+            "PolicyAuditResult",
+            "audit_fleet",
+        ),
+        "repro.audit.report": (
+            "JsonAuditWriter",
+            "SarifAuditWriter",
+            "TextAuditWriter",
+            "render_audit_json",
+            "render_audit_sarif",
+            "render_audit_text",
+        ),
+    },
 )
-from repro.audit.manifest import (
-    AuditManifestError,
-    FleetManifest,
-    PolicyEntry,
-    TenantBudget,
-    load_manifest,
-)
-from repro.audit.pipeline import (
-    AuditStats,
-    FleetAuditReport,
-    PolicyAuditResult,
-    audit_fleet,
-)
-from repro.audit.report import (
-    JsonAuditWriter,
-    SarifAuditWriter,
-    TextAuditWriter,
-    render_audit_json,
-    render_audit_sarif,
-    render_audit_text,
-)
-
-__all__ = [
-    "AuditCheckSetError",
-    "AuditManifestError",
-    "AuditStats",
-    "CacheEntry",
-    "CheckSet",
-    "FleetAuditReport",
-    "FleetManifest",
-    "JsonAuditWriter",
-    "PolicyAuditResult",
-    "PolicyEntry",
-    "ResultCache",
-    "STAGES",
-    "SarifAuditWriter",
-    "TenantBudget",
-    "TextAuditWriter",
-    "audit_fleet",
-    "load_manifest",
-    "render_audit_json",
-    "render_audit_sarif",
-    "render_audit_text",
-    "resolve_checkset",
-]

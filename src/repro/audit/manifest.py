@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.exceptions import ReproError
-from repro.guard import Budget
+from repro.guard.budget import Budget
 
 __all__ = ["AuditManifestError", "FleetManifest", "PolicyEntry", "TenantBudget", "load_manifest"]
 

@@ -54,7 +54,8 @@ from repro.audit.cache import ResultCache
 from repro.audit.checkset import CheckSet, resolve_checkset
 from repro.audit.manifest import FleetManifest, PolicyEntry
 from repro.exceptions import BudgetExceededError, ReproError
-from repro.guard import Budget, GuardContext
+from repro.guard.budget import Budget
+from repro.guard.context import GuardContext
 
 __all__ = [
     "AuditStats",
@@ -325,7 +326,7 @@ def _execute_audit_task(
     from repro.fdd.fast import build_difference
     from repro.fdd.store import NodeStore
     from repro.lint.engine import LintContext, run_lint
-    from repro.policy import loads
+    from repro.policy.parser import loads
 
     checkset: CheckSet = task["checkset"]
     needs = list(task["needs"])
@@ -544,7 +545,7 @@ def audit_fleet(
     if pending:
         outcomes: list[dict[str, Any] | None]
         if jobs > 1 and len(pending) > 1:
-            from repro.parallel import supervise
+            from repro.parallel.supervisor import supervise
 
             raw, degraded, _failures = supervise(
                 _audit_worker, [plan.task for plan in pending], jobs=jobs

@@ -95,7 +95,7 @@ def _pascal(name: str) -> str:
 
 def _rules_catalog() -> list[dict[str, Any]]:
     """The driver's rules: the full lint catalog plus the audit rules."""
-    from repro.lint import all_checks
+    from repro.lint.engine import all_checks
 
     rules = [
         {

@@ -6,16 +6,13 @@ same disputed packet set, but its rule-like output (cubes of the XOR
 diagram) explodes in size and is not human readable.
 """
 
-from repro.bdd.bdd import FALSE, TRUE, BDDManager
-from repro.bdd.compare import BDDComparison, compare_with_bdd, cube_to_text
-from repro.bdd.encode import FirewallEncoder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BDDComparison",
-    "BDDManager",
-    "FALSE",
-    "FirewallEncoder",
-    "TRUE",
-    "compare_with_bdd",
-    "cube_to_text",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.bdd.bdd": ("FALSE", "TRUE", "BDDManager"),
+        "repro.bdd.compare": ("BDDComparison", "compare_with_bdd", "cube_to_text"),
+        "repro.bdd.encode": ("FirewallEncoder",),
+    },
+)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.bdd.bdd import BDDManager
 from repro.bdd.encode import FirewallEncoder
 from repro.exceptions import BDDError
-from repro.guard import GuardContext
+from repro.guard.context import GuardContext
 from repro.policy.firewall import Firewall
 
 __all__ = ["BDDComparison", "compare_with_bdd", "cube_to_text"]

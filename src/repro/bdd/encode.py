@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from repro.bdd.bdd import FALSE, TRUE, BDDManager
 from repro.exceptions import BDDError
-from repro.fields import FieldSchema
-from repro.intervals import IntervalSet
+from repro.fields.schema import FieldSchema
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.firewall import Firewall
 from repro.policy.predicate import Predicate
 

@@ -23,7 +23,8 @@ from repro.bench.timing import (
     timed_fast_comparison,
 )
 from repro.bench.trajectory import effective_cores
-from repro.guard import Budget, GuardContext
+from repro.guard.budget import Budget
+from repro.guard.context import GuardContext
 from repro.policy.firewall import Firewall
 from repro.synth.generator import GeneratorConfig, generate_firewall_pair
 from repro.synth.perturb import perturb
@@ -255,7 +256,7 @@ def fig13_parallel_experiment(
     machines with fewer idle cores than shards).
     """
     from repro.fdd.fast import compare_fast
-    from repro.parallel import compare_parallel
+    from repro.parallel.engine import compare_parallel
     from repro.parallel.pool import get_pool
 
     if sizes is None:
@@ -534,7 +535,7 @@ def guard_overhead_experiment(
     """
     from repro.fdd.comparison import compare_firewalls
     from repro.fdd.fast import compare_fast
-    from repro.synth import team_a_firewall, team_b_firewall
+    from repro.synth.workloads import team_a_firewall, team_b_firewall
 
     if trials is None:
         trials = 5 if bench_scale() == "paper" else 3

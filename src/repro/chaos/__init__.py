@@ -14,22 +14,18 @@ the ``chaos-smoke`` job) or from tests via :func:`run_scenario` /
 machine each scenario exercises.
 """
 
-from repro.chaos.actions import ChaosAction, ChaosPlan, prepare_task
-from repro.chaos.scenarios import (
-    ChaosScenario,
-    make_firewall,
-    run_scenario,
-    run_suite,
-    scenario_catalogue,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosAction",
-    "ChaosPlan",
-    "ChaosScenario",
-    "make_firewall",
-    "prepare_task",
-    "run_scenario",
-    "run_suite",
-    "scenario_catalogue",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.chaos.actions": ("ChaosAction", "ChaosPlan", "prepare_task"),
+        "repro.chaos.scenarios": (
+            "ChaosScenario",
+            "make_firewall",
+            "run_scenario",
+            "run_suite",
+            "scenario_catalogue",
+        ),
+    },
+)

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, replace
 
 from repro.exceptions import FaultInjectedError
-from repro.guard import FaultInjector
+from repro.guard.fault import FaultInjector
 
 __all__ = ["ChaosAction", "ChaosPlan", "prepare_task"]
 

@@ -32,10 +32,14 @@ from dataclasses import dataclass, field
 
 from repro.chaos.actions import ChaosAction, ChaosPlan
 from repro.fdd.fast import compare_fast
-from repro.fields import toy_schema
-from repro.intervals import IntervalSet
-from repro.parallel import SupervisorConfig, compare_parallel, comparison_summary
-from repro.policy import ACCEPT, DISCARD, Firewall, Predicate, Rule
+from repro.fields.schema import toy_schema
+from repro.intervals.intervalset import IntervalSet
+from repro.parallel.engine import compare_parallel, comparison_summary
+from repro.parallel.supervisor import SupervisorConfig
+from repro.policy.decision import ACCEPT, DISCARD
+from repro.policy.firewall import Firewall
+from repro.policy.predicate import Predicate
+from repro.policy.rule import Rule
 
 __all__ = [
     "ChaosScenario",

@@ -25,11 +25,12 @@ handing it a malformed diagram raises
 undefined lookups.
 """
 
-from repro.classify.compiler import compile_fdd, compile_firewall
-from repro.classify.matcher import CompiledMatcher
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CompiledMatcher",
-    "compile_fdd",
-    "compile_firewall",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.classify.compiler": ("compile_fdd", "compile_firewall"),
+        "repro.classify.matcher": ("CompiledMatcher",),
+    },
+)

@@ -30,7 +30,7 @@ from array import array
 from repro.exceptions import FDDError
 from repro.fdd.fdd import FDD
 from repro.fdd.node import Node, TerminalNode
-from repro.guard import GuardContext
+from repro.guard.context import GuardContext
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.classify.matcher import CompiledMatcher

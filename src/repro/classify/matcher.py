@@ -29,7 +29,8 @@ from array import array
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
-from repro.fields import FieldSchema, Packet
+from repro.fields.packet import Packet
+from repro.fields.schema import FieldSchema
 from repro.policy.decision import Decision
 
 __all__ = ["CompiledMatcher"]

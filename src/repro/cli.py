@@ -53,17 +53,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro.analysis import (
-    ChangeImpactReport,
-    aggregate_discrepancies,
-    analyze_change,
-    approximate_compare,
-    format_discrepancy_table,
-    run_query,
-)
 from repro.exceptions import BudgetExceededError, ParseError, ReproError
-from repro.guard import Budget, GuardContext
-from repro.policy import dumps, emit_policy, load, parse_policy, to_table
 
 __all__ = [
     "main",
@@ -88,8 +78,9 @@ EXIT_DEGRADED = 5
 EXIT_BROKEN_PIPE = 141
 
 
-# The registered dialect names (stable: registration happens when
-# repro.policy is imported above).
+# The registered dialect names, spelled out so that building the parser
+# imports no dialect code; tests pin them to
+# repro.policy.frontends.dialect_names().
 _DIALECTS = ("cisco", "iptables", "native", "nftables")
 
 
@@ -156,8 +147,9 @@ def _compare_pair(fw_a, fw_b, args, *, aggregate: bool = False):
     the sampling comparator instead.  Degraded shards (the result is
     still exact) are reported on stderr here.
     """
-    budget = _budget_from_args(args)
-    guard = GuardContext(budget) if budget is not None else None
+    from repro.analysis.impact import ChangeImpactReport, analyze_change
+
+    guard = _guard_from_args(args)
     try:
         report = analyze_change(
             fw_a, fw_b, aggregate=aggregate, guard=guard, jobs=args.jobs
@@ -165,6 +157,9 @@ def _compare_pair(fw_a, fw_b, args, *, aggregate: bool = False):
     except BudgetExceededError:
         if not getattr(args, "approx_fallback", False):
             raise
+        from repro.analysis.aggregate import aggregate_discrepancies
+        from repro.analysis.approximate import approximate_compare
+
         sampled = approximate_compare(fw_a, fw_b)
         discs = list(sampled.discrepancies)
         if aggregate:
@@ -185,11 +180,23 @@ def _warn_degraded(degradations) -> None:
         )
 
 
-def _budget_from_args(args) -> Budget | None:
-    """A :class:`Budget` from ``--deadline``/``--max-nodes``, or ``None``."""
+def _budget_from_args(args):
+    """A :class:`~repro.guard.Budget` from ``--deadline``/``--max-nodes``, or ``None``."""
     if args.deadline is None and args.max_nodes is None:
         return None
+    from repro.guard.budget import Budget
+
     return Budget(deadline_s=args.deadline, max_nodes=args.max_nodes)
+
+
+def _guard_from_args(args):
+    """A :class:`~repro.guard.GuardContext` over the budget options, or ``None``."""
+    budget = _budget_from_args(args)
+    if budget is None:
+        return None
+    from repro.guard.context import GuardContext
+
+    return GuardContext(budget)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,6 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis.discrepancy import format_discrepancy_table
+    from repro.policy.parser import load
+
     fw_a = load(args.policy_a)
     fw_b = load(args.policy_b)
     report, coverage = _compare_pair(fw_a, fw_b, args, aggregate=not args.raw)
@@ -615,6 +625,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_impact(args) -> int:
+    from repro.policy.parser import load
+
     report, _ = _compare_pair(load(args.before), load(args.after), args, aggregate=True)
     print(report.render())
     if report.is_noop:
@@ -623,6 +635,9 @@ def _cmd_impact(args) -> int:
 
 
 def _cmd_equivalent(args) -> int:
+    from repro.analysis.aggregate import aggregate_discrepancies
+    from repro.policy.parser import load
+
     report, coverage = _compare_pair(load(args.policy_a), load(args.policy_b), args)
     discs = report.discrepancies
     if coverage is not None:
@@ -650,6 +665,9 @@ def _cmd_query(args) -> int:
     if args.text is None:
         print("error: provide a query string or --batch FILE", file=sys.stderr)
         return EXIT_ERROR
+    from repro.analysis.query_language import run_query
+    from repro.policy.parser import load
+
     print(run_query(args.text, load(args.policy)))
     return 0
 
@@ -662,7 +680,7 @@ def _read_packets(handle, schema) -> list:
     value (integers, dotted quads, service or protocol names).  Blank
     lines and ``#`` comments are skipped.
     """
-    from repro.fields import Packet
+    from repro.fields.packet import Packet
 
     packets = []
     for lineno, line in enumerate(handle, 1):
@@ -695,7 +713,8 @@ def _query_batch(args) -> int:
     import json
     import time
 
-    from repro.classify import compile_firewall
+    from repro.classify.compiler import compile_firewall
+    from repro.policy.parser import load
 
     firewall = load(args.policy)
     if args.batch == "-":
@@ -706,7 +725,7 @@ def _query_batch(args) -> int:
     matcher = compile_firewall(firewall)
     start = time.perf_counter()
     if args.jobs is not None and args.jobs > 1:
-        from repro.parallel import classify_parallel
+        from repro.parallel.classify import classify_parallel
 
         decisions = classify_parallel(matcher, packets, jobs=args.jobs)
     else:
@@ -749,8 +768,9 @@ def _cmd_serve_bench(args) -> int:
     import json
     import time
 
-    from repro.fields import PacketSampler
-    from repro.serve import PolicyServer
+    from repro.fields.packet import PacketSampler
+    from repro.policy.parser import load
+    from repro.serve.server import PolicyServer
 
     budget = _budget_from_args(args)
     server = PolicyServer(capacity=args.capacity, budget=budget)
@@ -794,7 +814,7 @@ def _cmd_serve_bench(args) -> int:
             "matcher": matcher.stats(),
         }
         if args.jobs is not None and args.jobs > 1:
-            from repro.parallel import classify_parallel
+            from repro.parallel.classify import classify_parallel
 
             start = time.perf_counter()
             fanned = classify_parallel(matcher, packets, jobs=args.jobs)
@@ -829,14 +849,9 @@ def _cmd_serve_bench(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint import (
-        Severity,
-        all_checks,
-        render_json,
-        render_sarif,
-        render_text,
-        run_lint,
-    )
+    from repro.lint.diagnostic import Severity
+    from repro.lint.engine import all_checks, run_lint
+    from repro.lint.render import render_json, render_sarif, render_text
 
     if args.list_checks:
         for info in all_checks():
@@ -849,13 +864,11 @@ def _cmd_lint(args) -> int:
         print("error: a policy file is required (or pass --list-checks)", file=sys.stderr)
         return EXIT_ERROR
     firewall = _load_dialect(args.policy, args.dialect, chain=args.chain)
-    budget = _budget_from_args(args)
-    guard = GuardContext(budget) if budget is not None else None
     report = run_lint(
-        firewall, enable=args.enable, disable=args.disable, guard=guard
+        firewall, enable=args.enable, disable=args.disable, guard=_guard_from_args(args)
     )
     if args.baseline is not None:
-        from repro.lint import load_baseline, new_findings
+        from repro.lint.baseline import load_baseline, new_findings
 
         known = load_baseline(args.baseline)
         total = len(report.diagnostics)
@@ -876,17 +889,27 @@ def _cmd_lint(args) -> int:
 def _load_dialect(path: str, dialect: str | None, *, chain: str | None = None):
     """Load a policy file, optionally parsing it as a device dialect."""
     if dialect is None or dialect == "native":
+        from repro.policy.parser import load
+
         return load(path)
+    from repro.policy.frontends import parse_policy
+
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     return parse_policy(text, dialect, chain=chain).to_firewall()
 
 
 def _cmd_export(args) -> int:
+    from repro.policy.parser import load
+
     firewall = load(args.policy)
     if args.fmt == "text":
+        from repro.policy.serializer import dumps
+
         sys.stdout.write(dumps(firewall))
     else:
+        from repro.policy.frontends import emit_policy
+
         sys.stdout.write(emit_policy(firewall, args.fmt))
     return 0
 
@@ -896,14 +919,12 @@ def _cmd_simplify(args) -> int:
 
     with open(args.policy, "r", encoding="utf-8") as handle:
         text = handle.read()
-    budget = _budget_from_args(args)
-    guard = GuardContext(budget) if budget is not None else None
     emitted, result = simplify_text(
         text,
         from_dialect=args.from_dialect,
         to_dialect=args.to_dialect,
         chain=args.chain,
-        guard=guard,
+        guard=_guard_from_args(args),
     )
     sys.stdout.write(emitted)
     print(
@@ -923,19 +944,25 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_show(args) -> int:
+    from repro.policy.parser import load
+    from repro.policy.serializer import to_table
+
     print(to_table(load(args.policy)))
     return 0
 
 
 def _cmd_fingerprint(args) -> int:
-    from repro.fdd import semantic_fingerprint
+    from repro.fdd.canonical import semantic_fingerprint
+    from repro.policy.parser import load
 
     print(semantic_fingerprint(load(args.policy)))
     return 0
 
 
 def _cmd_slice(args) -> int:
-    from repro.analysis import relevant_rules, slice_firewall
+    from repro.analysis.slicing import relevant_rules, slice_firewall
+    from repro.policy.parser import load
+    from repro.policy.serializer import to_table
 
     firewall = load(args.policy)
     region = _parse_region(args.region, firewall.schema)
@@ -949,7 +976,7 @@ def _cmd_slice(args) -> int:
 
 def _parse_region(text: str, schema):
     """Parse a 'field=values, field=values' region description."""
-    from repro.policy import Predicate
+    from repro.policy.predicate import Predicate
 
     conjuncts = {}
     for chunk in text.split(","):
@@ -963,15 +990,11 @@ def _parse_region(text: str, schema):
 
 def _cmd_audit(args) -> int:
     from repro.analysis.impact import ImpactKind
-    from repro.audit import (
-        JsonAuditWriter,
-        ResultCache,
-        SarifAuditWriter,
-        TextAuditWriter,
-        audit_fleet,
-        load_manifest,
-        resolve_checkset,
-    )
+    from repro.audit.cache import ResultCache
+    from repro.audit.checkset import resolve_checkset
+    from repro.audit.manifest import load_manifest
+    from repro.audit.pipeline import audit_fleet
+    from repro.audit.report import JsonAuditWriter, SarifAuditWriter, TextAuditWriter
 
     manifest = load_manifest(args.manifest, baseline=args.baseline)
     checkset = resolve_checkset(args.checks)
@@ -1064,7 +1087,7 @@ def _cmd_audit(args) -> int:
 def _cmd_chaos(args) -> int:
     import json
 
-    from repro.chaos import run_suite, scenario_catalogue
+    from repro.chaos.scenarios import run_suite, scenario_catalogue
 
     if args.list_scenarios:
         for scenario in scenario_catalogue():
@@ -1109,6 +1132,9 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_import(args) -> int:
+    from repro.policy.frontends import emit_policy, parse_policy
+    from repro.policy.serializer import dumps
+
     with open(args.config, "r", encoding="utf-8") as handle:
         text = handle.read()
     firewall = parse_policy(text, args.fmt, chain=args.chain).to_firewall()
@@ -1173,9 +1199,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Release any --jobs worker pools gracefully so worker atexit
         # hooks (coverage, profilers) run before the parent exits; the
         # in-process API relies on the pool module's own atexit instead.
-        from repro.parallel.pool import shutdown_pools
-
-        shutdown_pools()
+        # A run that never started a pool never imported the module.
+        pool = sys.modules.get("repro.parallel.pool")
+        if pool is not None:
+            pool.shutdown_pools()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -12,51 +12,29 @@
   engine built on them (see ``docs/architecture.md``).
 """
 
-from repro.fdd.canonical import canonical_fdd, fingerprint_canonical, semantic_fingerprint
-from repro.fdd.viz import to_ascii, to_dot
-from repro.fdd.comparison import compare_direct, compare_fdds, compare_firewalls, compare_shaped
-from repro.fdd.construction import append_rule, construct_fdd
-from repro.fdd.fast import build_difference, compare_fast, construct_fdd_fast
-from repro.fdd.fdd import FDD, DecisionPath, FDDStats
-from repro.fdd.generation import generate_firewall, generate_rules
-from repro.fdd.marking import mark_fdd, node_load
-from repro.fdd.node import Edge, InternalNode, TerminalNode
-from repro.fdd.passes import fold, product_fold
-from repro.fdd.reduce import reduce_fdd
-from repro.fdd.shaping import are_semi_isomorphic, make_semi_isomorphic
-from repro.fdd.simplify import make_simple
-from repro.fdd.store import NodeStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FDD",
-    "DecisionPath",
-    "Edge",
-    "FDDStats",
-    "InternalNode",
-    "NodeStore",
-    "TerminalNode",
-    "append_rule",
-    "build_difference",
-    "canonical_fdd",
-    "fingerprint_canonical",
-    "are_semi_isomorphic",
-    "compare_direct",
-    "compare_fast",
-    "compare_fdds",
-    "compare_firewalls",
-    "compare_shaped",
-    "construct_fdd",
-    "construct_fdd_fast",
-    "fold",
-    "generate_firewall",
-    "generate_rules",
-    "make_semi_isomorphic",
-    "make_simple",
-    "mark_fdd",
-    "node_load",
-    "product_fold",
-    "reduce_fdd",
-    "semantic_fingerprint",
-    "to_ascii",
-    "to_dot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.fdd.canonical": ("canonical_fdd", "fingerprint_canonical", "semantic_fingerprint"),
+        "repro.fdd.viz": ("to_ascii", "to_dot"),
+        "repro.fdd.comparison": (
+            "compare_direct",
+            "compare_fdds",
+            "compare_firewalls",
+            "compare_shaped",
+        ),
+        "repro.fdd.construction": ("append_rule", "construct_fdd"),
+        "repro.fdd.fast": ("build_difference", "compare_fast", "construct_fdd_fast"),
+        "repro.fdd.fdd": ("FDD", "DecisionPath", "FDDStats"),
+        "repro.fdd.generation": ("generate_firewall", "generate_rules"),
+        "repro.fdd.marking": ("mark_fdd", "node_load"),
+        "repro.fdd.node": ("Edge", "InternalNode", "TerminalNode"),
+        "repro.fdd.passes": ("fold", "product_fold"),
+        "repro.fdd.reduce": ("reduce_fdd",),
+        "repro.fdd.shaping": ("are_semi_isomorphic", "make_semi_isomorphic"),
+        "repro.fdd.simplify": ("make_simple",),
+        "repro.fdd.store": ("NodeStore",),
+    },
+)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from repro.analysis.discrepancy import Discrepancy
 from repro.exceptions import NotSemiIsomorphicError, SchemaError
-from repro.fields import FieldSchema
-from repro.guard import GuardContext
-from repro.intervals import IntervalSet
+from repro.fields.schema import FieldSchema
+from repro.guard.context import GuardContext
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.firewall import Firewall
 from repro.fdd.construction import construct_fdd
 from repro.fdd.fdd import FDD

@@ -26,9 +26,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.exceptions import PolicyError
-from repro.fields import FieldSchema
-from repro.guard import GuardContext
-from repro.intervals import IntervalSet
+from repro.fields.schema import FieldSchema
+from repro.guard.context import GuardContext
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.policy.rule import Rule

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 from repro.analysis.discrepancy import Discrepancy
 from repro.exceptions import SchemaError
-from repro.fields import FieldSchema
-from repro.guard import GuardContext
-from repro.intervals import IntervalSet
+from repro.fields.schema import FieldSchema
+from repro.guard.context import GuardContext
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.fdd.fdd import FDD

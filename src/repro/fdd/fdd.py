@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.exceptions import FDDError, NotOrderedError, NotSimpleError
-from repro.fields import FieldSchema, Packet
-from repro.intervals import IntervalSet
+from repro.fields.packet import Packet
+from repro.fields.schema import FieldSchema
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.predicate import Predicate
 from repro.policy.rule import Rule

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator, Union
 
 from repro.exceptions import FDDError
-from repro.intervals import IntervalSet
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 
 __all__ = ["TerminalNode", "InternalNode", "Edge", "Node"]

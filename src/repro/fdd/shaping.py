@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections import deque
 
 from repro.exceptions import NotOrderedError, SchemaError
-from repro.fields import FieldSchema
-from repro.guard import GuardContext
-from repro.intervals import IntervalSet
+from repro.fields.schema import FieldSchema
+from repro.guard.context import GuardContext
+from repro.intervals.intervalset import IntervalSet
 from repro.fdd.fdd import FDD
 from repro.fdd.node import Edge, InternalNode, Node, TerminalNode
 from repro.fdd.simplify import make_simple

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.fdd.fdd import FDD
 from repro.fdd.node import Edge, InternalNode, Node, TerminalNode
-from repro.intervals import IntervalSet
+from repro.intervals.intervalset import IntervalSet
 
 __all__ = ["make_simple"]
 

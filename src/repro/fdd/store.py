@@ -40,8 +40,8 @@ from collections import OrderedDict
 from itertools import chain
 from typing import Sequence
 
-from repro.guard import GuardContext
-from repro.intervals import IntervalSet
+from repro.guard.context import GuardContext
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.fdd.fdd import FDD

@@ -1,23 +1,18 @@
 """Packet-field schemas and packets (Section 3.1 of the paper)."""
 
-from repro.fields.packet import Packet, PacketSampler, enumerate_universe
-from repro.fields.schema import (
-    Field,
-    FieldKind,
-    FieldSchema,
-    interface_schema,
-    standard_schema,
-    toy_schema,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Field",
-    "FieldKind",
-    "FieldSchema",
-    "Packet",
-    "PacketSampler",
-    "enumerate_universe",
-    "interface_schema",
-    "standard_schema",
-    "toy_schema",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.fields.packet": ("Packet", "PacketSampler", "enumerate_universe"),
+        "repro.fields.schema": (
+            "Field",
+            "FieldKind",
+            "FieldSchema",
+            "interface_schema",
+            "standard_schema",
+            "toy_schema",
+        ),
+    },
+)

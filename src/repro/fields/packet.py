@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 from repro.exceptions import SchemaError
 from repro.fields.schema import FieldSchema
-from repro.intervals import IntervalSet
+from repro.intervals.intervalset import IntervalSet
 
 __all__ = ["Packet", "PacketSampler", "enumerate_universe"]
 

@@ -26,20 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from repro.addr import (
-    IPV4_MAX,
-    PORT_MAX,
-    PROTOCOL_MAX,
-    ascii_digits,
-    format_ip_set,
-    format_port_set,
-    format_protocol_set,
-    parse_port_range,
-    parse_prefix,
-    parse_protocol,
-)
+from repro.addr.ipv4 import IPV4_MAX, ascii_digits
+from repro.addr.ports import PORT_MAX, format_port_set, parse_port_range
+from repro.addr.prefix import format_ip_set, parse_prefix
+from repro.addr.protocol import PROTOCOL_MAX, format_protocol_set, parse_protocol
 from repro.exceptions import AddressError, SchemaError
-from repro.intervals import Interval, IntervalSet
+from repro.intervals.interval import Interval
+from repro.intervals.intervalset import IntervalSet
 
 __all__ = [
     "FieldKind",
@@ -133,7 +126,7 @@ class Field:
         if self.kind is FieldKind.IP:
             if "-" in atom and "/" not in atom:
                 lo_txt, _, hi_txt = atom.partition("-")
-                from repro.addr import ip_to_int
+                from repro.addr.ipv4 import ip_to_int
 
                 lo, hi = ip_to_int(lo_txt), ip_to_int(hi_txt)
                 if lo > hi:

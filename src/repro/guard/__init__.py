@@ -23,22 +23,19 @@ sampling-based approximate comparison
 crashing.  See ``docs/robustness.md``.
 """
 
-from repro.exceptions import (
-    BudgetExceededError,
-    CancelledError,
-    FaultInjectedError,
-    GuardError,
-)
-from repro.guard.budget import Budget
-from repro.guard.context import GuardContext
-from repro.guard.fault import FaultInjector
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Budget",
-    "BudgetExceededError",
-    "CancelledError",
-    "FaultInjectedError",
-    "FaultInjector",
-    "GuardContext",
-    "GuardError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.exceptions": (
+            "BudgetExceededError",
+            "CancelledError",
+            "FaultInjectedError",
+            "GuardError",
+        ),
+        "repro.guard.budget": ("Budget",),
+        "repro.guard.context": ("GuardContext",),
+        "repro.guard.fault": ("FaultInjector",),
+    },
+)

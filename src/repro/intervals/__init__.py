@@ -10,7 +10,12 @@ rest of the library is built on:
   union of intervals, with full set algebra.
 """
 
-from repro.intervals.interval import Interval, MAX_ENUMERABLE_VALUES
-from repro.intervals.intervalset import IntervalSet, checkpoints
+from repro._lazy import lazy_exports
 
-__all__ = ["Interval", "IntervalSet", "MAX_ENUMERABLE_VALUES", "checkpoints"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.intervals.interval": ("Interval", "MAX_ENUMERABLE_VALUES"),
+        "repro.intervals.intervalset": ("IntervalSet", "checkpoints"),
+    },
+)

@@ -27,47 +27,30 @@ it all together with exit-code gating for CI.
 See ``docs/linting.md`` for the full check catalog.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from pathlib import Path
-
-from repro.lint.baseline import (
-    baseline_fingerprints,
-    diagnostic_fingerprint,
-    load_baseline,
-    new_findings,
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.lint.baseline": (
+            "baseline_fingerprints",
+            "diagnostic_fingerprint",
+            "load_baseline",
+            "new_findings",
+        ),
+        "repro.lint.diagnostic": ("Diagnostic", "LintReport", "Severity"),
+        "repro.lint.engine": (
+            "CheckInfo",
+            "LintContext",
+            "all_checks",
+            "register_check",
+            "run_lint",
+            "selected_checks",
+        ),
+        "repro.lint.render": ("render_json", "render_sarif", "render_text", "sarif_dict"),
+    },
+    defined=("demo_policy_path",),
 )
-from repro.lint.diagnostic import Diagnostic, LintReport, Severity
-from repro.lint.engine import (
-    CheckInfo,
-    LintContext,
-    all_checks,
-    register_check,
-    run_lint,
-    selected_checks,
-)
-from repro.lint.render import render_json, render_sarif, render_text, sarif_dict
-
-__all__ = [
-    "CheckInfo",
-    "Diagnostic",
-    "LintContext",
-    "LintReport",
-    "Severity",
-    "all_checks",
-    "baseline_fingerprints",
-    "demo_policy_path",
-    "diagnostic_fingerprint",
-    "load_baseline",
-    "new_findings",
-    "register_check",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "run_lint",
-    "sarif_dict",
-    "selected_checks",
-]
 
 
 def demo_policy_path() -> str:
@@ -77,6 +60,8 @@ def demo_policy_path() -> str:
     installed); used by the doctests, the golden-file tests, and the CI
     lint smoke job.
     """
+    from pathlib import Path
+
     path = Path(__file__).resolve().parents[3] / "examples" / "lint_demo.fw"
     if not path.exists():
         raise FileNotFoundError(

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis.anomaly import CORRELATION, GENERALIZATION
-from repro.fields import FieldKind
+from repro.fields.schema import FieldKind
 from repro.lint.diagnostic import Diagnostic, Severity
 from repro.lint.engine import LintContext, register_check
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.exceptions import LintError
-from repro.guard import GuardContext
+from repro.guard.context import GuardContext
 from repro.policy.firewall import Firewall
 from repro.lint.diagnostic import Diagnostic, LintReport, Severity
 
@@ -212,7 +212,7 @@ class LintContext:
 
     def format_packet(self, packet: tuple[int, ...]) -> str:
         """Render a witness packet in each field's vocabulary."""
-        from repro.intervals import IntervalSet
+        from repro.intervals.intervalset import IntervalSet
 
         parts: list[str] = []
         for field_, value in zip(self.firewall.schema, packet):

@@ -33,44 +33,30 @@ compiled matcher snapshot (:mod:`repro.classify`), never policy
 sources.
 """
 
-from repro.parallel.classify import classify_parallel
-from repro.parallel.engine import (
-    PairComparison,
-    ParallelComparison,
-    ShardResult,
-    compare_many,
-    compare_parallel,
-    compare_sharded,
-    comparison_summary,
-    default_jobs,
-    plan_shards,
-    restrict_to_shard,
-)
-from repro.parallel.pool import WorkerPool, get_pool, shutdown_pools
-from repro.parallel.supervisor import (
-    Degradation,
-    ShardFailure,
-    SupervisorConfig,
-    supervise,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Degradation",
-    "PairComparison",
-    "ParallelComparison",
-    "ShardFailure",
-    "ShardResult",
-    "SupervisorConfig",
-    "WorkerPool",
-    "classify_parallel",
-    "compare_many",
-    "compare_parallel",
-    "compare_sharded",
-    "comparison_summary",
-    "default_jobs",
-    "get_pool",
-    "plan_shards",
-    "restrict_to_shard",
-    "shutdown_pools",
-    "supervise",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.parallel.classify": ("classify_parallel",),
+        "repro.parallel.engine": (
+            "PairComparison",
+            "ParallelComparison",
+            "ShardResult",
+            "compare_many",
+            "compare_parallel",
+            "compare_sharded",
+            "comparison_summary",
+            "default_jobs",
+            "plan_shards",
+            "restrict_to_shard",
+        ),
+        "repro.parallel.pool": ("WorkerPool", "get_pool", "shutdown_pools"),
+        "repro.parallel.supervisor": (
+            "Degradation",
+            "ShardFailure",
+            "SupervisorConfig",
+            "supervise",
+        ),
+    },
+)

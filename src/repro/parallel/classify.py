@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.classify.matcher import CompiledMatcher
-from repro.fields import Packet
-from repro.guard import GuardContext
+from repro.fields.packet import Packet
+from repro.guard.context import GuardContext
 from repro.parallel.engine import _resolve_jobs
 from repro.parallel.pool import get_pool, resolve_snapshot
 from repro.parallel.supervisor import supervise

@@ -79,9 +79,11 @@ from repro.fdd.fast import (
 from repro.fdd.fdd import FDD
 from repro.fdd.node import InternalNode, Node
 from repro.fdd.store import NodeStore
-from repro.fields import FieldSchema
-from repro.guard import Budget, FaultInjector, GuardContext
-from repro.intervals import IntervalSet
+from repro.fields.schema import FieldSchema
+from repro.guard.budget import Budget
+from repro.guard.context import GuardContext
+from repro.guard.fault import FaultInjector
+from repro.intervals.intervalset import IntervalSet
 from repro.parallel.pool import (
     WorkerPool,
     get_pool,

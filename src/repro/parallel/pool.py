@@ -208,7 +208,7 @@ def _pool_worker_loop(conn) -> None:
         busy.set()
         try:
             if action is not None:
-                from repro.chaos import prepare_task
+                from repro.chaos.actions import prepare_task
 
                 task, corrupt_seed = prepare_task(action, task, hb_stop)
             result = func(task)

@@ -74,7 +74,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.exceptions import BudgetExceededError, CancelledError
-from repro.guard import GuardContext
+from repro.guard.context import GuardContext
 from repro.parallel.pool import PoolWorker, WorkerPool, _checksum, get_pool
 
 __all__ = [

@@ -12,48 +12,26 @@ out (``emit_policy(firewall, "cisco", name="EDGE")``).  The backends in
 :mod:`repro.policy.export` register on first use.
 """
 
-from repro.policy.frontends import (
-    dialect_names,
-    emit_policy,
-    parse_policy,
-)
-from repro.policy.ir import IRPolicy, IRRule
-from repro.policy.decision import (
-    ACCEPT,
-    ACCEPT_LOG,
-    DISCARD,
-    DISCARD_LOG,
-    STANDARD_DECISIONS,
-    Decision,
-    parse_decision,
-)
-from repro.policy.firewall import Firewall
-from repro.policy.parser import load, loads, parse_rule
-from repro.policy.predicate import Predicate
-from repro.policy.rule import Rule
-from repro.policy.serializer import dump, dumps, rule_to_text, to_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACCEPT",
-    "ACCEPT_LOG",
-    "DISCARD",
-    "DISCARD_LOG",
-    "Decision",
-    "Firewall",
-    "IRPolicy",
-    "IRRule",
-    "Predicate",
-    "Rule",
-    "STANDARD_DECISIONS",
-    "dialect_names",
-    "dump",
-    "dumps",
-    "emit_policy",
-    "load",
-    "loads",
-    "parse_decision",
-    "parse_policy",
-    "parse_rule",
-    "rule_to_text",
-    "to_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.policy.frontends": ("dialect_names", "emit_policy", "parse_policy"),
+        "repro.policy.ir": ("IRPolicy", "IRRule"),
+        "repro.policy.decision": (
+            "ACCEPT",
+            "ACCEPT_LOG",
+            "DISCARD",
+            "DISCARD_LOG",
+            "STANDARD_DECISIONS",
+            "Decision",
+            "parse_decision",
+        ),
+        "repro.policy.firewall": ("Firewall",),
+        "repro.policy.parser": ("load", "loads", "parse_rule"),
+        "repro.policy.predicate": ("Predicate",),
+        "repro.policy.rule": ("Rule",),
+        "repro.policy.serializer": ("dump", "dumps", "rule_to_text", "to_table"),
+    },
+)

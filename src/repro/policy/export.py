@@ -31,10 +31,12 @@ semantics exactly (property-tested in ``tests/policy``).
 
 from __future__ import annotations
 
-from repro.addr import int_to_ip, intervalset_to_prefixes
+from repro.addr.ipv4 import int_to_ip
+from repro.addr.prefix import intervalset_to_prefixes
 from repro.exceptions import PolicyError
-from repro.fields import FieldKind, interface_schema, standard_schema
-from repro.intervals import Interval, IntervalSet
+from repro.fields.schema import FieldKind, interface_schema, standard_schema
+from repro.intervals.interval import Interval
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.frontends import register_backend
 from repro.policy.ir import IRPolicy, IRRule
 
@@ -461,7 +463,7 @@ def _native_schema_key(ir: IRPolicy) -> str | None:
         return "standard"
     if ir.schema == interface_schema():
         return "interface"
-    from repro.stateful import stateful_schema
+    from repro.stateful.firewall import stateful_schema
 
     if ir.schema == stateful_schema():
         return "stateful"

@@ -21,8 +21,9 @@ from repro.exceptions import (
     PolicyError,
     SchemaError,
 )
-from repro.fields import FieldSchema, Packet
-from repro.intervals import IntervalSet
+from repro.fields.packet import Packet
+from repro.fields.schema import FieldSchema
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.rule import Rule
 

@@ -32,10 +32,13 @@ import shlex
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.addr import IPV4_MAX, PORT_MAX, ascii_digits, ip_to_int, parse_prefix
+from repro.addr.ipv4 import IPV4_MAX, ascii_digits, ip_to_int
+from repro.addr.ports import PORT_MAX
+from repro.addr.prefix import parse_prefix
 from repro.exceptions import AddressError, ParseError, PolicyError
-from repro.fields import FieldKind, FieldSchema, standard_schema
-from repro.intervals import Interval, IntervalSet
+from repro.fields.schema import FieldKind, FieldSchema, standard_schema
+from repro.intervals.interval import Interval
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import (
     ACCEPT,
     ACCEPT_LOG,
@@ -305,7 +308,7 @@ def _assemble(
                 "omit the explicit schema argument",
                 next(r.line for r in parsed if r.state is not None),
             )
-        from repro.stateful import stateful_schema
+        from repro.stateful.firewall import stateful_schema
 
         schema = stateful_schema()
     else:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Mapping
 
 from repro.exceptions import PolicyError, SchemaError
-from repro.fields import Field, FieldSchema
-from repro.intervals import IntervalSet
+from repro.fields.schema import Field, FieldSchema
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.policy.predicate import Predicate

@@ -25,8 +25,8 @@ one conjunct).  Whole-domain fields may simply be omitted.
 from __future__ import annotations
 
 from repro.exceptions import ParseError, ReproError
-from repro.fields import FieldSchema, interface_schema, standard_schema
-from repro.intervals import IntervalSet
+from repro.fields.schema import FieldSchema, interface_schema, standard_schema
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import parse_decision
 from repro.policy.firewall import Firewall
 from repro.policy.predicate import Predicate
@@ -37,7 +37,7 @@ __all__ = ["parse_rule", "parse_firewall", "loads", "load"]
 def _stateful_schema() -> FieldSchema:
     # Imported lazily: repro.stateful builds on repro.policy, so a
     # module-level import here would be a cycle.
-    from repro.stateful import stateful_schema
+    from repro.stateful.firewall import stateful_schema
 
     return stateful_schema()
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.exceptions import PolicyError, SchemaError
-from repro.fields import FieldSchema, Packet
-from repro.intervals import Interval, IntervalSet
+from repro.fields.packet import Packet
+from repro.fields.schema import FieldSchema
+from repro.intervals.interval import Interval
+from repro.intervals.intervalset import IntervalSet
 
 __all__ = ["Predicate"]
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.fields import FieldSchema, Packet
-from repro.intervals import Interval, IntervalSet
+from repro.fields.packet import Packet
+from repro.fields.schema import FieldSchema
+from repro.intervals.interval import Interval
+from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.predicate import Predicate
 

@@ -8,7 +8,7 @@ the paper's Tables 1/2/5/6/7.
 
 from __future__ import annotations
 
-from repro.fields import FieldSchema
+from repro.fields.schema import FieldSchema
 from repro.policy.firewall import Firewall
 from repro.policy.rule import Rule
 

@@ -19,6 +19,11 @@ demand from their retained sources, and every cache event is counted —
 artifact byte sizes.  See ``docs/serving.md``.
 """
 
-from repro.serve.server import PolicyServer
+from repro._lazy import lazy_exports
 
-__all__ = ["PolicyServer"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.server": ("PolicyServer",),
+    },
+)

@@ -5,11 +5,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
-from repro.classify import CompiledMatcher, compile_fdd
+from repro.classify.compiler import compile_fdd
+from repro.classify.matcher import CompiledMatcher
 from repro.fdd.canonical import fingerprint_canonical
 from repro.fdd.fast import construct_fdd_fast
-from repro.fields import Packet
-from repro.guard import Budget, GuardContext
+from repro.fields.packet import Packet
+from repro.guard.budget import Budget
+from repro.guard.context import GuardContext
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 

@@ -39,8 +39,8 @@ from repro.analysis.redundancy import remove_redundant_rules
 from repro.exceptions import SimplifyError
 from repro.fdd.canonical import fingerprint_canonical
 from repro.fdd.generation import generate_firewall
-from repro.fields import FieldSchema
-from repro.guard import GuardContext
+from repro.fields.schema import FieldSchema
+from repro.guard.context import GuardContext
 from repro.policy.firewall import Firewall
 from repro.policy.frontends import emit_policy, parse_policy
 

@@ -8,19 +8,17 @@ comparison, change impact, queries, redundancy — applies to stateful
 policies unchanged.
 """
 
-from repro.stateful.firewall import (
-    STATE_ESTABLISHED,
-    STATE_NEW,
-    StatefulFirewall,
-    stateful_schema,
-)
-from repro.stateful.table import ConnectionTable, FlowKey
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConnectionTable",
-    "FlowKey",
-    "STATE_ESTABLISHED",
-    "STATE_NEW",
-    "StatefulFirewall",
-    "stateful_schema",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.stateful.firewall": (
+            "STATE_ESTABLISHED",
+            "STATE_NEW",
+            "StatefulFirewall",
+            "stateful_schema",
+        ),
+        "repro.stateful.table": ("ConnectionTable", "FlowKey"),
+    },
+)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.exceptions import SchemaError
-from repro.fields import Field, FieldKind, FieldSchema, standard_schema
+from repro.fields.schema import Field, FieldKind, FieldSchema, standard_schema
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.policy.predicate import Predicate

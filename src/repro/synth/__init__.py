@@ -1,39 +1,26 @@
 """Workload generation: synthetic firewalls, perturbations, canned policies."""
 
-from repro.synth.generator import (
-    GeneratorConfig,
-    SyntheticFirewallGenerator,
-    generate_firewall_pair,
-)
-from repro.synth.perturb import PerturbationRecord, flip_decision, perturb
-from repro.synth.traces import BoundaryTraceGenerator, FlowTraceGenerator, TimedPacket
-from repro.synth.workloads import (
-    average_42,
-    campus_87,
-    mail_example_schema,
-    paper_resolution_chooser,
-    resolved_reference_firewall,
-    team_a_firewall,
-    team_b_firewall,
-    university_661,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoundaryTraceGenerator",
-    "FlowTraceGenerator",
-    "GeneratorConfig",
-    "PerturbationRecord",
-    "SyntheticFirewallGenerator",
-    "average_42",
-    "campus_87",
-    "flip_decision",
-    "generate_firewall_pair",
-    "mail_example_schema",
-    "paper_resolution_chooser",
-    "perturb",
-    "resolved_reference_firewall",
-    "team_a_firewall",
-    "team_b_firewall",
-    "TimedPacket",
-    "university_661",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.synth.generator": (
+            "GeneratorConfig",
+            "SyntheticFirewallGenerator",
+            "generate_firewall_pair",
+        ),
+        "repro.synth.perturb": ("PerturbationRecord", "flip_decision", "perturb"),
+        "repro.synth.traces": ("BoundaryTraceGenerator", "FlowTraceGenerator", "TimedPacket"),
+        "repro.synth.workloads": (
+            "average_42",
+            "campus_87",
+            "mail_example_schema",
+            "paper_resolution_chooser",
+            "resolved_reference_firewall",
+            "team_a_firewall",
+            "team_b_firewall",
+            "university_661",
+        ),
+    },
+)

@@ -26,10 +26,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.addr import IPV4_MAX, PORT_MAX
-from repro.fields import FieldSchema, standard_schema
-from repro.intervals import IntervalSet
-from repro.policy import ACCEPT, DISCARD, Decision, Firewall, Predicate, Rule
+from repro.addr.ipv4 import IPV4_MAX
+from repro.addr.ports import PORT_MAX
+from repro.fields.schema import FieldSchema, standard_schema
+from repro.intervals.intervalset import IntervalSet
+from repro.policy.decision import ACCEPT, DISCARD, Decision
+from repro.policy.firewall import Firewall
+from repro.policy.predicate import Predicate
+from repro.policy.rule import Rule
 
 __all__ = ["GeneratorConfig", "SyntheticFirewallGenerator", "generate_firewall_pair"]
 

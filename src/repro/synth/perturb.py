@@ -24,7 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.policy import ACCEPT, DISCARD, Decision, Firewall
+from repro.policy.decision import ACCEPT, DISCARD, Decision
+from repro.policy.firewall import Firewall
 
 __all__ = ["PerturbationRecord", "perturb", "flip_decision"]
 

@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.fields import FieldSchema, Packet
+from repro.fields.packet import Packet
+from repro.fields.schema import FieldSchema
 from repro.policy.firewall import Firewall
 
 __all__ = ["BoundaryTraceGenerator", "FlowTraceGenerator", "TimedPacket"]

@@ -18,10 +18,12 @@ its confidential real-life firewalls.
 
 from __future__ import annotations
 
-from repro.addr import ip_to_int
-from repro.fields import FieldSchema, interface_schema
-from repro.intervals import IntervalSet
-from repro.policy import ACCEPT, DISCARD, Firewall, Rule
+from repro.addr.ipv4 import ip_to_int
+from repro.fields.schema import FieldSchema, interface_schema
+from repro.intervals.intervalset import IntervalSet
+from repro.policy.decision import ACCEPT, DISCARD
+from repro.policy.firewall import Firewall
+from repro.policy.rule import Rule
 from repro.policy.decision import Decision
 from repro.synth.generator import SyntheticFirewallGenerator
 
@@ -204,7 +206,7 @@ def campus_87(seed: int = 87) -> Firewall:
     from random import Random
 
     rng = Random(seed)
-    from repro.fields import standard_schema
+    from repro.fields.schema import standard_schema
 
     schema = standard_schema()
     rules: list[Rule] = []

@@ -133,6 +133,30 @@ class TestAppend:
                 guard=guard,
             )
 
+    def test_a_trip_leaves_the_store_consistent(self):
+        """Whatever tick a construction trips on, the same store then
+        builds the canonical root a fresh store builds."""
+        from repro.exceptions import BudgetExceededError
+        from repro.fdd.canonical import fingerprint_canonical
+
+        fw = make_firewall(
+            [
+                Rule.build(SCHEMA, ACCEPT, F1=(0, 3), F2=(1, 5)),
+                Rule.build(SCHEMA, DISCARD, F1=(2, 7), F2=(0, 6)),
+                Rule.build(SCHEMA, ACCEPT_LOG, F2=(4, 9)),
+                Rule.build(SCHEMA, DISCARD),
+            ]
+        )
+        expected = fingerprint_canonical(NodeStore().construct(fw))
+        full = GuardContext(Budget.unlimited())
+        NodeStore().construct(fw, guard=full)
+        assert full.nodes_expanded > 3
+        for limit in range(full.nodes_expanded):
+            store = NodeStore()
+            with pytest.raises(BudgetExceededError):
+                store.construct(fw, guard=GuardContext(Budget(max_nodes=limit)))
+            assert fingerprint_canonical(store.construct(fw)) == expected
+
 
 class TestMapTerminals:
     def test_relabels_and_shares(self):

@@ -47,14 +47,31 @@ def _exported_names() -> set[str]:
     return names
 
 
+def _lazy_table(node: ast.AST) -> dict[str, tuple[str, ...]] | None:
+    """The ``{module: names}`` table of a ``lazy_exports(__name__, {...})`` call."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+        return ast.literal_eval(node.args[1])
+    return None
+
+
 def _tree_imports(
     source: str, module: str, exported: set[str], *, package: bool = False
 ) -> set[str]:
-    """What ``module`` imports of the tree engine, directly or re-exported."""
+    """What ``module`` imports of the tree engine, directly, re-exported or
+    through a package's lazy export table."""
     parts = module.split(".") if package else module.split(".")[:-1]
     found: set[str] = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
+        if (table := _lazy_table(node)) is not None:
+            for base, names in table.items():
+                if base in TREE_ENGINE:
+                    found.add(base)
+                found |= {
+                    f"{base}.{name}"
+                    for name in names
+                    if base in ("repro", "repro.fdd") and name in exported
+                }
+        elif isinstance(node, ast.Import):
             found |= {alias.name for alias in node.names} & TREE_ENGINE
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
@@ -106,6 +123,13 @@ def test_the_scan_sees_each_import_form():
         "from ..fdd import make_semi_isomorphic": {"repro.fdd.make_semi_isomorphic"},
         "from repro.fdd import compare_fast, semantic_fingerprint": set(),
         "from repro.fdd.fast import construct_fdd_fast": set(),
+        'lazy_exports(__name__, {"repro.fdd.shaping": ("make_semi_isomorphic",)})': {
+            "repro.fdd.shaping"
+        },
+        'lazy_exports(__name__, {"repro.fdd": ("construct_fdd", "NodeStore")})': {
+            "repro.fdd.construct_fdd"
+        },
+        'lazy_exports(__name__, {"repro.fdd.fast": ("compare_fast",)})': set(),
     }
     for source, expected in cases.items():
         module = "repro.analysis.x" if source.startswith("from ..") else "repro.fdd.x"
