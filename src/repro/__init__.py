@@ -33,7 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.analysis.aggregate": ("aggregate_discrepancies",),
-        "repro.analysis.approximate": ("compare_with_fallback",),
         "repro.analysis.discrepancy": (
             "ComparisonReport",
             "Discrepancy",

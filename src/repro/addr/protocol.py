@@ -44,14 +44,25 @@ _PROTOCOL_BY_NUMBER = {number: name for name, number in PROTOCOLS.items()}
 
 
 def parse_protocol(text: str) -> Interval:
-    """Parse a protocol: a name, a number, or ``any``.
+    """Parse a protocol: a name, a number, a ``lo-hi`` range, or ``any``.
+
+    Ranges are what :func:`format_protocol_set` writes for runs of
+    unnamed numbers, so a dumped policy loads back.
 
     >>> parse_protocol("tcp")
     Interval(lo=6, hi=6)
+    >>> parse_protocol("3-6")
+    Interval(lo=3, hi=6)
     """
     text = text.strip().lower()
     if text in ("any", "all", "*"):
         return Interval(0, PROTOCOL_MAX)
+    lo_text, dash, hi_text = text.partition("-")
+    if dash and ascii_digits(lo_text) and ascii_digits(hi_text):
+        lo, hi = int(lo_text), int(hi_text)
+        if lo > hi or hi > PROTOCOL_MAX:
+            raise AddressError(f"bad protocol range {text!r}")
+        return Interval(lo, hi)
     if ascii_digits(text):
         value = int(text)
         if value > PROTOCOL_MAX:

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "repro.analysis.aggregate": ("aggregate_discrepancies",),
         "repro.analysis.anomaly": ("Anomaly", "find_anomalies"),
-        "repro.analysis.approximate": ("approximate_compare", "compare_with_fallback"),
+        "repro.analysis.approximate": ("approximate_compare",),
         "repro.analysis.discrepancy": (
             "ComparisonReport",
             "Discrepancy",

@@ -2,11 +2,13 @@
 
 The exact pipeline is complete — Theorem 1's ``(2n - 1)^d`` path bound
 also means it can exceed any budget on adversarial inputs.  When that
-happens, :func:`compare_with_fallback` degrades to **stratified random
-packet sampling** instead of crashing: evaluate both rule lists directly
-(linear per packet, no FDD at all) on packets drawn from strata chosen to
-maximize the chance of catching a disagreement, and report the packets
-that differ as single-packet discrepancy cells.
+happens, ``repro compare``, ``equivalent`` and ``impact`` with
+``--approx-fallback`` degrade to :func:`approximate_compare`,
+**stratified random packet sampling**, instead of crashing: evaluate
+both rule lists directly (linear per packet, no FDD at all) on packets
+drawn from strata chosen to maximize the chance of catching a
+disagreement, and report the packets that differ as single-packet
+discrepancy cells.
 
 The strata, drawn via :class:`repro.synth.traces.BoundaryTraceGenerator`:
 
@@ -27,14 +29,13 @@ empty approximate report does **not** prove equivalence; see
 from __future__ import annotations
 
 from repro.analysis.discrepancy import ComparisonReport, Discrepancy
-from repro.exceptions import BudgetExceededError, SchemaError
-from repro.guard.budget import Budget
+from repro.exceptions import SchemaError
 from repro.guard.context import GuardContext
 from repro.intervals.intervalset import IntervalSet
 from repro.policy.firewall import Firewall
 from repro.synth.traces import BoundaryTraceGenerator
 
-__all__ = ["approximate_compare", "compare_with_fallback"]
+__all__ = ["approximate_compare"]
 
 
 def approximate_compare(
@@ -106,58 +107,5 @@ def approximate_compare(
         approximate=True,
         coverage=coverage,
         sampled_packets=len(seen),
-        outcome=guard.outcome() if guard is not None else None,
     )
 
-
-def compare_with_fallback(
-    fw_a: Firewall,
-    fw_b: Firewall,
-    *,
-    budget: Budget | None = None,
-    guard: GuardContext | None = None,
-    samples: int = 2000,
-    seed: int = 0,
-) -> ComparisonReport:
-    """Exact comparison under a budget, degrading to sampling on trip.
-
-    Runs the exact comparison (:func:`repro.fdd.fast.compare_fast`)
-    under ``budget`` (or an explicit ``guard``).  Within budget, the
-    returned report is exact (``approximate=False``, ``coverage=1.0``).
-    If the budget trips, the partial exact state is discarded — nothing
-    half-built leaks — and :func:`approximate_compare` produces a flagged
-    partial report whose ``outcome`` records which resource was exhausted
-    and how far the exact attempt got.  The function only raises for *non-budget* errors
-    (schema mismatch, cancellation, ...).
-
-    >>> from repro.fields import toy_schema
-    >>> from repro.policy import Firewall, Rule, ACCEPT
-    >>> schema = toy_schema(9)
-    >>> fw = Firewall(schema, [Rule.build(schema, ACCEPT)])
-    >>> compare_with_fallback(fw, fw).proves_equivalence()
-    True
-    """
-    from repro.fdd.fast import compare_fast
-
-    if guard is None:
-        guard = GuardContext(budget if budget is not None else Budget.unlimited())
-    try:
-        discrepancies = compare_fast(fw_a, fw_b, guard=guard).discrepancies(guard=guard)
-    except BudgetExceededError:
-        report = approximate_compare(fw_a, fw_b, samples=samples, seed=seed)
-        # Replace the sampler's (empty) outcome with the exact attempt's,
-        # which records the tripped resource and the progress witness.
-        return ComparisonReport(
-            discrepancies=report.discrepancies,
-            approximate=True,
-            coverage=report.coverage,
-            sampled_packets=report.sampled_packets,
-            outcome=guard.outcome(),
-        )
-    return ComparisonReport(
-        discrepancies=tuple(discrepancies),
-        approximate=False,
-        coverage=1.0,
-        sampled_packets=0,
-        outcome=guard.outcome(),
-    )

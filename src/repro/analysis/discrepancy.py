@@ -10,7 +10,7 @@ human-readable regions the paper's Table 3 shows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.fields.packet import Packet
@@ -87,8 +87,8 @@ class ComparisonReport:
     comparison — an empty list proves equivalence) or **approximate**
     (the degraded sampling mode of :mod:`repro.analysis.approximate`,
     entered when the exact pipeline exhausted its budget — an empty list
-    proves nothing), how much of the packet universe the verdict covers,
-    and the guard's budget outcome for bench/ops recording.
+    proves nothing), and how much of the packet universe the verdict
+    covers.
     """
 
     #: The discrepancies found (exhaustive when ``approximate`` is False,
@@ -101,21 +101,6 @@ class ComparisonReport:
     coverage: float = 1.0
     #: Distinct packets evaluated by the sampler (0 for exact runs).
     sampled_packets: int = 0
-    #: The guard's budget outcome (:meth:`GuardContext.outcome`), if any.
-    outcome: dict | None = field(default=None, compare=False)
-    #: Degradations recorded by the supervised parallel engine: one
-    #: JSON-safe record per shard that fell back to serial in-parent
-    #: execution (``{"shard", "reason", "retries", "detail"}``).  The
-    #: result stays exact — degradation is a loss of parallelism, not of
-    #: coverage — but it should be visible in reports and exit codes.
-    degradations: tuple = field(default=(), compare=False)
-
-    @property
-    def exhausted(self) -> str | None:
-        """Resource that tripped the exact pipeline's budget, if any."""
-        if self.outcome is None:
-            return None
-        return self.outcome.get("exhausted")
 
     def proves_equivalence(self) -> bool:
         """True only for an exact run that found no discrepancies.
@@ -124,21 +109,6 @@ class ComparisonReport:
         the sample" — it never proves equivalence.
         """
         return not self.approximate and not self.discrepancies
-
-    def describe(self) -> str:
-        """One-line summary suitable for logs and CLI headers."""
-        kind = "approximate" if self.approximate else "exact"
-        parts = [f"{kind} comparison: {len(self.discrepancies)} discrepancy cell(s)"]
-        if self.approximate:
-            parts.append(f"coverage ~{self.coverage:.3g} of the packet universe")
-            parts.append(f"{self.sampled_packets} packets sampled")
-        if self.exhausted:
-            parts.append(f"budget exhausted on {self.exhausted}")
-        if self.degradations:
-            parts.append(
-                f"{len(self.degradations)} shard(s) degraded to serial execution"
-            )
-        return "; ".join(parts)
 
 
 def format_discrepancy_table(

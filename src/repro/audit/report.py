@@ -46,13 +46,6 @@ __all__ = [
 
 TOOL_URI = "https://example.org/repro/docs/auditing.md"
 
-_SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
-
 #: ``(code, kebab-name, SARIF level, summary)`` of the audit-layer rules.
 AUDIT_RULES: tuple[tuple[str, str, str, str], ...] = (
     (
@@ -81,6 +74,9 @@ AUDIT_RULES: tuple[tuple[str, str, str, str], ...] = (
     ),
 )
 
+#: Audit rule code -> its SARIF level.
+_RULE_LEVELS = {code: level for code, _name, level, _summary in AUDIT_RULES}
+
 #: Sample-kind -> audit rule code for per-region results.
 _KIND_RULES = {
     ImpactKind.NEWLY_ALLOWED: "AUDIT002",
@@ -89,30 +85,16 @@ _KIND_RULES = {
 }
 
 
-def _pascal(name: str) -> str:
-    return "".join(part.capitalize() for part in name.split("-"))
-
-
 def _rules_catalog() -> list[dict[str, Any]]:
     """The driver's rules: the full lint catalog plus the audit rules."""
-    from repro.lint.engine import all_checks
+    from repro.lint.render import lint_rule_descriptors, sarif_rule_name
 
-    rules = [
-        {
-            "id": info.code,
-            "name": _pascal(info.name),
-            "shortDescription": {"text": info.summary},
-            "defaultConfiguration": {"level": info.severity.sarif_level},
-            "helpUri": TOOL_URI,
-            "properties": {"version": info.version},
-        }
-        for info in all_checks()
-    ]
+    rules = lint_rule_descriptors(TOOL_URI)
     for code, name, level, summary in AUDIT_RULES:
         rules.append(
             {
                 "id": code,
-                "name": _pascal(name),
+                "name": sarif_rule_name(name),
                 "shortDescription": {"text": summary},
                 "defaultConfiguration": {"level": level},
                 "helpUri": TOOL_URI,
@@ -122,24 +104,13 @@ def _rules_catalog() -> list[dict[str, Any]]:
     return rules
 
 
-def _location(
-    uri: str, line: int | None, rule_index: int | None, *, message: str | None = None
-) -> dict[str, Any]:
-    physical: dict[str, Any] = {"artifactLocation": {"uri": uri}}
-    start_line = line if line is not None else (
-        rule_index + 1 if rule_index is not None else 1
-    )
-    physical["region"] = {"startLine": start_line}
-    location: dict[str, Any] = {"physicalLocation": physical}
-    if message is not None:
-        location["message"] = {"text": message}
-    return location
-
-
 def _policy_sarif_results(
     result: PolicyAuditResult, rule_index: dict[str, int]
 ) -> list[dict[str, Any]]:
     """All SARIF results one policy contributes (lint + divergence)."""
+    from repro.lint.diagnostic import Severity
+    from repro.lint.render import sarif_location
+
     uri = result.name
     out: list[dict[str, Any]] = []
 
@@ -150,9 +121,9 @@ def _policy_sarif_results(
             sarif: dict[str, Any] = {
                 "ruleId": record["code"],
                 "ruleIndex": rule_index[record["code"]],
-                "level": _LEVELS[record["severity"]],
+                "level": Severity(record["severity"]).sarif_level,
                 "message": {"text": record["message"]},
-                "locations": [_location(uri, record.get("line"), anchor)],
+                "locations": [sarif_location(uri, record.get("line"), anchor)],
                 "partialFingerprints": {
                     "reproLint/v1": f"{record['code']}/{anchor}"
                 },
@@ -163,7 +134,9 @@ def _policy_sarif_results(
                     "related_lines", [None] * len(related_rules)
                 )
                 sarif["relatedLocations"] = [
-                    _location(uri, line, rule - 1, message=f"related rule r{rule}")
+                    sarif_location(
+                        uri, line, rule - 1, message=f"related rule r{rule}"
+                    )
                     for rule, line in zip(related_rules, related_lines)
                 ]
             out.append(sarif)
@@ -182,7 +155,7 @@ def _policy_sarif_results(
                         f" {compare['disputed_packets']} packet(s) disputed"
                     )
                 },
-                "locations": [_location(uri, None, None)],
+                "locations": [sarif_location(uri, None, None)],
                 "partialFingerprints": {
                     "reproAudit/v1": f"AUDIT001/{result.baseline_fingerprint}"
                 },
@@ -194,11 +167,7 @@ def _policy_sarif_results(
                 {
                     "ruleId": code,
                     "ruleIndex": rule_index[code],
-                    "level": _LEVELS[
-                        {"AUDIT002": "error", "AUDIT003": "warning"}.get(
-                            code, "info"
-                        )
-                    ],
+                    "level": _RULE_LEVELS[code],
                     "message": {
                         "text": (
                             f"{sample['region']}: baseline says"
@@ -207,7 +176,7 @@ def _policy_sarif_results(
                             f" ({sample['packets']} packet(s))"
                         )
                     },
-                    "locations": [_location(uri, None, None)],
+                    "locations": [sarif_location(uri, None, None)],
                     "partialFingerprints": {
                         "reproAudit/v1": f"{code}/{sample['region']}"
                     },
@@ -227,6 +196,8 @@ class SarifAuditWriter:
         self._first_result = True
 
     def begin(self) -> None:
+        from repro.lint.render import SARIF_SCHEMA_URI
+
         rules = _rules_catalog()
         self._rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
         driver = {
@@ -237,7 +208,7 @@ class SarifAuditWriter:
         }
         prefix = json.dumps(
             {
-                "$schema": _SARIF_SCHEMA_URI,
+                "$schema": SARIF_SCHEMA_URI,
                 "version": "2.1.0",
                 "runs": [
                     {

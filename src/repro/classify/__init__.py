@@ -14,9 +14,8 @@ traffic.  This package is the lowering step between the two worlds:
   the hot path;
 * :class:`CompiledMatcher` — the immutable artifact: ``classify`` /
   ``classify_batch`` entry points, exact byte-size accounting, and
-  pickle support so artifacts (not policy sources) can be shipped to
-  worker processes (:func:`repro.parallel.classify_parallel`) or cached
-  by fingerprint (:class:`repro.serve.PolicyServer`).
+  versioned pickle support; artifacts (not policy sources) are what
+  :class:`repro.serve.PolicyServer` caches by fingerprint.
 
 Compilation is guard-aware (one node tick per compiled node), and the
 compiler *checks* consistency/completeness of every node it lowers —

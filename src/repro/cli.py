@@ -256,13 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="batch summary format (default: text)",
     )
-    query.add_argument(
-        "--jobs",
-        type=_jobs,
-        default=None,
-        metavar="N",
-        help="classify the batch across N worker processes",
-    )
 
     serve_bench = sub.add_parser(
         "serve-bench",
@@ -285,13 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help="artifact cache capacity (default 8)",
-    )
-    serve_bench.add_argument(
-        "--jobs",
-        type=_jobs,
-        default=None,
-        metavar="N",
-        help="also measure the batch fan-out across N worker processes",
     )
     serve_bench.add_argument(
         "--json",
@@ -724,12 +710,7 @@ def _query_batch(args) -> int:
             packets = _read_packets(handle, firewall.schema)
     matcher = compile_firewall(firewall)
     start = time.perf_counter()
-    if args.jobs is not None and args.jobs > 1:
-        from repro.parallel.classify import classify_parallel
-
-        decisions = classify_parallel(matcher, packets, jobs=args.jobs)
-    else:
-        decisions = matcher.classify_batch(packets)
+    decisions = matcher.classify_batch(packets)
     elapsed = time.perf_counter() - start
     counts: dict[str, int] = {}
     for decision in decisions:
@@ -813,17 +794,6 @@ def _cmd_serve_bench(args) -> int:
             else None,
             "matcher": matcher.stats(),
         }
-        if args.jobs is not None and args.jobs > 1:
-            from repro.parallel.classify import classify_parallel
-
-            start = time.perf_counter()
-            fanned = classify_parallel(matcher, packets, jobs=args.jobs)
-            parallel_s = time.perf_counter() - start
-            if fanned != decisions:
-                print(f"error: parallel decision mismatch for {path}", file=sys.stderr)
-                return EXIT_DISCREPANCIES
-            row["parallel_jobs"] = args.jobs
-            row["parallel_us_per_lookup"] = round(parallel_s / len(packets) * 1e6, 4)
         rows.append(row)
         print(
             f"{path}: {row['rules']} rule(s) -> {row['matcher']['nodes']} node(s),"
@@ -975,14 +945,16 @@ def _cmd_slice(args) -> int:
 
 
 def _parse_region(text: str, schema):
-    """Parse a 'field=values, field=values' region description."""
+    """Parse a 'field=values, field=values' region description.
+
+    Commas split conjuncts as in a rule line: a piece without ``=``
+    continues the previous field's value list (``dst_port=25,80``).
+    """
+    from repro.policy.parser import _split_conjuncts
     from repro.policy.predicate import Predicate
 
     conjuncts = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _split_conjuncts(text):
         name, _, values = chunk.partition("=")
         conjuncts[name.strip()] = values.strip()
     return Predicate.from_fields(schema, **conjuncts)

@@ -112,7 +112,7 @@ def compare_firewalls(
     ``guard`` bounds the whole pipeline with one shared budget; on
     exhaustion a :class:`~repro.exceptions.BudgetExceededError` with
     ``resource``/``spent``/``limit`` attributes propagates (see
-    :func:`repro.analysis.approximate.compare_with_fallback` for the
+    :func:`repro.analysis.approximate.approximate_compare` for the
     degraded mode that samples instead of crashing).
 
     >>> from repro.fields import toy_schema

@@ -19,8 +19,9 @@ overhead) or a :class:`GuardContext`.  When a budget trips, a
 ``resource``/``spent``/``limit`` attributes unwinds the computation
 without leaking partially-mutated structures; callers can degrade to the
 sampling-based approximate comparison
-(:func:`repro.analysis.approximate.compare_with_fallback`) instead of
-crashing.  See ``docs/robustness.md``.
+(:func:`repro.analysis.approximate.approximate_compare`, which the CLI's
+``--approx-fallback`` runs) instead of crashing.  See
+``docs/robustness.md``.
 """
 
 from repro._lazy import lazy_exports

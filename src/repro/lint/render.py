@@ -24,7 +24,7 @@ TOOL_NAME = "repro-lint"
 TOOL_VERSION = "1.0.0"
 TOOL_URI = "https://example.org/repro/docs/linting.md"
 
-_SARIF_SCHEMA_URI = (
+SARIF_SCHEMA_URI = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
 )
@@ -84,17 +84,7 @@ def sarif_dict(report: LintReport, *, path: str | None = None) -> dict[str, Any]
     physical location (the policy file and the rule's source line, when
     known) plus related locations for contributing rules.
     """
-    rules = [
-        {
-            "id": info.code,
-            "name": _pascal(info.name),
-            "shortDescription": {"text": info.summary},
-            "defaultConfiguration": {"level": info.severity.sarif_level},
-            "helpUri": TOOL_URI,
-            "properties": {"version": info.version},
-        }
-        for info in all_checks()
-    ]
+    rules = lint_rule_descriptors(TOOL_URI)
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
     artifact_uri = path if path is not None else "policy.fw"
 
@@ -106,7 +96,7 @@ def sarif_dict(report: LintReport, *, path: str | None = None) -> dict[str, Any]
             "level": diagnostic.severity.sarif_level,
             "message": {"text": diagnostic.message},
             "locations": [
-                _location(artifact_uri, diagnostic.line, diagnostic.rule_index)
+                sarif_location(artifact_uri, diagnostic.line, diagnostic.rule_index)
             ],
             "partialFingerprints": {
                 "reproLint/v1": f"{diagnostic.code}/{diagnostic.rule_index}"
@@ -114,7 +104,7 @@ def sarif_dict(report: LintReport, *, path: str | None = None) -> dict[str, Any]
         }
         if diagnostic.related:
             result["relatedLocations"] = [
-                _location(
+                sarif_location(
                     artifact_uri,
                     report.firewall[index].source_line,
                     index,
@@ -125,7 +115,7 @@ def sarif_dict(report: LintReport, *, path: str | None = None) -> dict[str, Any]
         results.append(result)
 
     return {
-        "$schema": _SARIF_SCHEMA_URI,
+        "$schema": SARIF_SCHEMA_URI,
         "version": "2.1.0",
         "runs": [
             {
@@ -150,7 +140,26 @@ def render_sarif(report: LintReport, *, path: str | None = None) -> str:
     return json.dumps(sarif_dict(report, path=path), indent=2)
 
 
-def _location(
+def lint_rule_descriptors(help_uri: str) -> list[dict[str, Any]]:
+    """The full lint check catalog as SARIF ``reportingDescriptor``\\ s.
+
+    ``help_uri`` is the emitting tool's own documentation page (lint and
+    the fleet audit each point at theirs).
+    """
+    return [
+        {
+            "id": info.code,
+            "name": sarif_rule_name(info.name),
+            "shortDescription": {"text": info.summary},
+            "defaultConfiguration": {"level": info.severity.sarif_level},
+            "helpUri": help_uri,
+            "properties": {"version": info.version},
+        }
+        for info in all_checks()
+    ]
+
+
+def sarif_location(
     uri: str,
     line: int | None,
     rule_index: int | None,
@@ -173,6 +182,6 @@ def _location(
     return location
 
 
-def _pascal(name: str) -> str:
+def sarif_rule_name(name: str) -> str:
     """``shadowed-rule`` -> ``ShadowedRule`` (SARIF rule display names)."""
     return "".join(part.capitalize() for part in name.split("-"))

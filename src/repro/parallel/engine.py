@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import bisect
 import os
-import pickle
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -104,14 +103,12 @@ from repro.policy.rule import Rule
 __all__ = [
     "ShardResult",
     "ParallelComparison",
-    "PairComparison",
     "default_jobs",
     "plan_shards",
     "restrict_to_shard",
     "comparison_summary",
     "compare_sharded",
     "compare_parallel",
-    "compare_many",
 ]
 
 
@@ -449,8 +446,7 @@ class _SnapshotShardTask:
 
 
 #: Per-snapshot payload cache: ``snapshot_id -> (schema,
-#: {piece_index: (root_a, root_b)})`` (or ``(schema, root)`` for a
-#: :func:`compare_many` policy).  In workers it holds the deserialized
+#: {piece_index: (root_a, root_b)})``.  In workers it holds the deserialized
 #: snapshot (one shm read + unpickle per worker per comparison); in the
 #: parent :func:`_stage` seeds it with the live diagrams, so in-process
 #: dispatch and the degraded serial fallback never deserialize at all.
@@ -545,80 +541,6 @@ def _restrict_root(root, shard: IntervalSet, store: NodeStore):
     return store.internal(0, edges)
 
 
-@dataclass(frozen=True)
-class PairComparison:
-    """Summary of one team pair's comparison (Section 7.3, parallel)."""
-
-    index_a: int
-    index_b: int
-    disputed_packets: int
-    by_decisions: dict[tuple[Decision, Decision], int]
-    node_count: int
-    path_count: int
-    progress: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
-    #: True when the supervisor re-ran this pair serially in the parent
-    #: after its worker dispatches failed (numbers remain exact).
-    degraded: bool = False
-
-    def equivalent(self) -> bool:
-        """True when the pair agrees on every packet."""
-        return self.disputed_packets == 0
-
-
-@dataclass(frozen=True)
-class _SnapshotPairTask:
-    """One (i, j) team pair resolved against published policy snapshots.
-
-    Carries two snapshot *ids*, never the diagrams: the pool publishes
-    each policy's constructed root exactly once per
-    :func:`compare_many` call and ships it to each worker at most once,
-    so the ``t * (t - 1) / 2`` pair tasks stay a few hundred bytes each
-    and no policy is re-pickled (or re-constructed) per pair.
-    """
-
-    index_a: int
-    index_b: int
-    snapshot_id_a: str
-    snapshot_id_b: str
-    fault: FaultInjector | None
-    #: Set at dispatch to the parent's remaining headroom.
-    budget: Budget | None = None
-
-    @property
-    def snapshot_ids(self) -> tuple[str, ...]:
-        return (self.snapshot_id_a, self.snapshot_id_b)
-
-
-def _execute_snapshot_pair(task: _SnapshotPairTask) -> PairComparison:
-    """Run one pair's product walk from the cached policy snapshots.
-
-    The parent already constructed each policy once (that spend lands on
-    the parent guard).  Both roots are interned into a *fresh* store per
-    pair so guard node-spend is a pure function of the pair —
-    deterministic across runs, schedules, and retries.
-    """
-    guard = _task_guard(task.budget, task.fault)
-    start = time.perf_counter()
-    schema, raw_a = _snapshot_payload(task.snapshot_id_a)
-    _schema_b, raw_b = _snapshot_payload(task.snapshot_id_b)
-    store = NodeStore()
-    fdd_a = FDD(schema, store.intern(raw_a))
-    fdd_b = FDD(schema, store.intern(raw_b))
-    diff = build_difference(fdd_a, fdd_b, guard=guard, store=store)
-    by_decisions = diff.disputed_by_decisions()
-    return PairComparison(
-        index_a=task.index_a,
-        index_b=task.index_b,
-        disputed_packets=sum(by_decisions.values()),
-        by_decisions=by_decisions,
-        node_count=diff.node_count(),
-        path_count=diff.path_count(),
-        progress=guard.progress() if guard is not None else {},
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
-
-
 # ----------------------------------------------------------------------
 # Dispatch: the same task lists, in the parent or across the pool
 # ----------------------------------------------------------------------
@@ -646,7 +568,7 @@ def _stage(payload: tuple, pool: WorkerPool | None) -> str:
     if pool is None:
         snapshot_id = f"local-{id(payload)}"
     else:
-        snapshot_id = pool.publish_snapshot(None, payload=pickle.dumps(payload))
+        snapshot_id = pool.publish_snapshot(payload)
     _SNAPSHOT_PAYLOADS[snapshot_id] = payload
     return snapshot_id
 
@@ -998,74 +920,3 @@ def compare_parallel(
         chaos=chaos,
     )
 
-
-def compare_many(
-    firewalls: list[Firewall],
-    *,
-    jobs: int | None = None,
-    budget: Budget | None = None,
-    fault: FaultInjector | None = None,
-    start_method: str | None = None,
-) -> dict[tuple[int, int], PairComparison]:
-    """All pairwise comparisons of ``t`` team versions, concurrently.
-
-    Section 7.3's cross comparison for the diverse-design workflow: the
-    ``t * (t - 1) / 2`` unordered pairs are independent, so each pair
-    runs as one task.  Returns ``{(i, j): PairComparison}`` for
-    ``i < j``.  Budgets aggregate across pairs exactly as
-    :func:`compare_parallel` aggregates across shards.
-
-    Each policy's diagram is constructed **once**, in the parent (that
-    spend lands on the parent guard), and staged as one snapshot per
-    policy (``t`` stagings, not one per pair); pair tasks carry two
-    snapshot ids.  ``jobs`` only picks where the pair tasks run:
-    ``jobs=1`` serially in the calling process, otherwise on the
-    persistent pool, where each worker deserializes a policy at most
-    once however many of its pairs it executes.  Pool dispatch is
-    supervised; a pair whose worker dispatches all failed is re-run
-    serially and returned with ``degraded=True``.
-    """
-    if len(firewalls) < 2:
-        raise SchemaError("cross comparison needs at least two firewalls")
-    schema = firewalls[0].schema
-    for fw in firewalls:
-        if fw.schema != schema:
-            raise SchemaError("all versions must share one field schema")
-    jobs = _resolve_jobs(jobs)
-    parent = GuardContext(budget) if budget is not None else None
-    pairs = [
-        (i, j)
-        for i in range(len(firewalls))
-        for j in range(i + 1, len(firewalls))
-    ]
-    pool = get_pool(start_method) if jobs > 1 and len(pairs) > 1 else None
-    snapshot_ids: list[str] = []
-    try:
-        for fw in firewalls:
-            root = construct_fdd_fast(fw, NodeStore(), guard=parent).root
-            snapshot_ids.append(_stage((schema, root), pool))
-        tasks = [
-            _SnapshotPairTask(
-                index_a=i,
-                index_b=j,
-                snapshot_id_a=snapshot_ids[i],
-                snapshot_id_b=snapshot_ids[j],
-                fault=fault,
-            )
-            for i, j in pairs
-        ]
-        results, degradations, _failures = _run_tasks(
-            _execute_snapshot_pair,
-            tasks,
-            jobs=jobs,
-            pool=pool,
-            parent=parent,
-        )
-    finally:
-        for snapshot_id in snapshot_ids:
-            _retire(snapshot_id, pool)
-    for item in degradations:
-        results[item.shard_index] = replace(
-            results[item.shard_index], degraded=True
-        )
-    return {(result.index_a, result.index_b): result for result in results}

@@ -11,17 +11,16 @@ across every comparison in the process:
   forever, executing tasks shipped as ``(function, task)`` pairs over a
   duplex pipe.  The pool is lazily spawned on first use, grows up to the
   requested ``jobs``, and survives across ``compare_sharded`` /
-  ``compare_parallel`` / ``compare_many`` / ``classify_parallel`` calls
-  — the spawn cost is paid once per process, not once per comparison
-  (see the amortization model in ``docs/performance.md``).
+  ``compare_parallel`` and fleet-audit calls — the spawn cost is paid
+  once per process, not once per comparison (see the amortization
+  model in ``docs/performance.md``).
 * **Published snapshots.**  Large shared inputs — a comparison's
-  composed node-store diagrams, a compiled classifier artifact — are
-  published once per comparison via :meth:`WorkerPool.publish_snapshot`
-  (a ``multiprocessing.shared_memory`` segment when available, an
-  inline-bytes pipe message otherwise) and shipped to each worker at
-  most once; tasks then carry only a snapshot id.  Workers resolve and
-  deserialize lazily (:func:`resolve_snapshot`) and cache the object
-  until the parent retires the snapshot.
+  composed node-store diagrams — are published once per comparison via
+  :meth:`WorkerPool.publish_snapshot` (a ``multiprocessing.shared_memory``
+  segment when available, an inline-bytes pipe message otherwise) and
+  shipped to each worker at most once; tasks then carry only a snapshot
+  id.  Workers resolve and deserialize lazily (:func:`resolve_snapshot`)
+  and cache the object until the parent retires the snapshot.
 * **Graceful completion.**  On success workers are *released* back to
   the pool, never terminated — SIGTERM-on-success used to truncate
   coverage/profiling atexit hooks in workers under CI.  Workers are
@@ -346,7 +345,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def publish_snapshot(self, obj, payload: bytes | None = None) -> str:
+    def publish_snapshot(self, obj) -> str:
         """Publish ``obj`` once; returns the snapshot id tasks carry.
 
         The pickled payload lands in a ``multiprocessing.shared_memory``
@@ -357,8 +356,7 @@ class WorkerPool:
         execution (the degraded serial fallback) never deserializes at
         all.
         """
-        if payload is None:
-            payload = pickle.dumps(obj)
+        payload = pickle.dumps(obj)
         self._seq += 1
         snapshot_id = f"repro-{os.getpid()}-{self._seq}"
         kind, data = "bytes", payload

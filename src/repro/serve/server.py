@@ -128,21 +128,10 @@ class PolicyServer:
         return self.matcher(key).classify(packet)
 
     def classify_batch(
-        self,
-        key: str,
-        packets: Iterable[Packet | Sequence[int]],
-        *,
-        jobs: int | None = None,
+        self, key: str, packets: Iterable[Packet | Sequence[int]]
     ) -> list[Decision]:
-        """Decisions for a batch; ``jobs`` > 1 fans out across workers
-        (shipping the compiled artifact, see
-        :func:`repro.parallel.classify_parallel`)."""
-        artifact = self.matcher(key)
-        if jobs is not None and jobs > 1:
-            from repro.parallel.classify import classify_parallel
-
-            return classify_parallel(artifact, packets, jobs=jobs)
-        return artifact.classify_batch(packets)
+        """Decisions for a batch under one policy."""
+        return self.matcher(key).classify_batch(packets)
 
     def tally(
         self, key: str, packets: Iterable[Packet | Sequence[int]]

@@ -71,6 +71,15 @@ class TestProtocols:
         with pytest.raises(AddressError):
             parse_protocol("256")
 
+    def test_range_round_trips_through_format(self):
+        values = IntervalSet.of((3, 6), (9, 12), (17, 17))
+        text = format_protocol_set(values)
+        assert text == "3-6, 9-12, udp"
+        assert IntervalSet(parse_protocol(atom) for atom in text.split(", ")) == values
+        for bad in ("6-3", "3-256", "3-", "-6"):
+            with pytest.raises(AddressError):
+                parse_protocol(bad)
+
     def test_format(self):
         assert format_protocol_set(IntervalSet.single(6)) == "tcp"
         assert format_protocol_set(IntervalSet.single(99)) == "99"

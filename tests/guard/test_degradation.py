@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-from repro.analysis import compare_with_fallback
 from repro.analysis.approximate import approximate_compare
 from repro.cli import main
 from repro.exceptions import BudgetExceededError
@@ -113,31 +112,40 @@ class TestApproximateCompare:
 
 
 class TestCompareWithFallback:
-    def test_within_budget_is_exact(self):
-        a, b = team_a_firewall(), team_b_firewall()
-        report = compare_with_fallback(a, b, budget=Budget(max_nodes=1_000_000))
-        assert not report.approximate
-        assert report.coverage == 1.0
-        assert list(report.discrepancies) == compare_fast(a, b).discrepancies()
-        # The reference pipeline cuts other cells over the same packets.
-        volumes = {}
-        for cells, sign in ((report.discrepancies, 1), (compare_firewalls(a, b), -1)):
-            for cell in cells:
-                key = (cell.decision_a, cell.decision_b)
-                volumes[key] = volumes.get(key, 0) + sign * cell.size()
-        assert not any(volumes.values())
+    """``--approx-fallback``: exact within budget, sampled only on a trip."""
 
-    def test_trip_degrades_with_outcome_witness(self):
-        a, b = team_a_firewall(), team_b_firewall()
-        report = compare_with_fallback(a, b, budget=Budget(max_nodes=3))
-        assert report.approximate
-        assert report.exhausted == "fdd-nodes"
-        assert report.outcome["nodes_expanded"] >= 3
-        assert 0.0 < report.coverage < 1.0
+    def test_within_budget_is_exact(self, policies, capsys):
+        assert main(["compare", "--raw", *policies]) == 1
+        exact = capsys.readouterr().out
+        code = main(
+            [
+                "compare",
+                "--raw",
+                *policies,
+                "--max-nodes",
+                "1000000",
+                "--approx-fallback",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == exact
+        cells = compare_fast(team_a_firewall(), team_b_firewall()).discrepancies()
+        assert out.startswith(f"{len(cells)} functional discrepancy region(s)\n")
 
-    def test_exact_on_identical_inputs_proves_equivalence(self):
-        fw = team_a_firewall()
-        assert compare_with_fallback(fw, fw).proves_equivalence()
+    def test_exact_on_identical_inputs_proves_equivalence(self, policies, capsys):
+        code = main(
+            [
+                "equivalent",
+                policies[0],
+                policies[0],
+                "--max-nodes",
+                "1000000",
+                "--approx-fallback",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "equivalent\n"
 
 
 class TestExplosiveInputsTerminate:
@@ -158,23 +166,34 @@ class TestExplosiveInputsTerminate:
             assert isinstance(result["error"], BudgetExceededError)
             assert result["error"].resource in ("deadline", "fdd-nodes")
 
-    def test_fallback_returns_flagged_report(self):
-        fw_a, fw_b = explosive_pair()
+    def test_fallback_returns_flagged_report(self, tmp_path, capsys):
+        paths = [str(tmp_path / "a.fw"), str(tmp_path / "b.fw")]
+        for firewall, path in zip(explosive_pair(), paths):
+            dump(firewall, path, schema_key="standard")
 
         def attempt():
-            return compare_with_fallback(
-                fw_a, fw_b, budget=Budget(deadline_s=2.0), samples=400
+            return main(
+                [
+                    "compare",
+                    "--raw",
+                    *paths,
+                    "--deadline",
+                    "2",
+                    "--approx-fallback",
+                ]
             )
 
         result = run_with_watchdog(attempt, timeout_s=30.0)
         assert "error" not in result, f"fallback raised: {result.get('error')!r}"
-        report = result["value"]
-        if report.approximate:
-            assert report.exhausted is not None
-            assert report.coverage < 1.0
+        out = capsys.readouterr().out
+        # Exit 4 flags the sampled report; 1 would mean the exact run
+        # finished within its deadline.
+        assert result["value"] in (1, 4)
+        if result["value"] == 4:
+            assert "(approximate: sampled, coverage ~" in out
         # The two policies genuinely differ, and direct evaluation is
         # cheap, so sampling should surface at least one witness.
-        assert len(report.discrepancies) > 0
+        assert "functional discrepancy region(s)" in out
 
     def test_node_budget_aborts_construction(self):
         fw_a, fw_b = explosive_pair()

@@ -33,7 +33,6 @@ from repro.fields import toy_schema
 from repro.guard import Budget, FaultInjector
 from repro.intervals import IntervalSet
 from repro.parallel import (
-    compare_many,
     compare_parallel,
     compare_sharded,
     comparison_summary,
@@ -301,28 +300,6 @@ class TestProcessPools:
 
 
 # ----------------------------------------------------------------------
-# compare_many
-# ----------------------------------------------------------------------
-
-
-class TestCompareMany:
-    def test_all_pairs_match_serial(self):
-        team = [make_firewall(30 + i, 5) for i in range(4)]
-        results = compare_many(team, jobs=1)
-        assert set(results) == {
-            (i, j) for i in range(4) for j in range(i + 1, 4)
-        }
-        for (i, j), pair in results.items():
-            diff = compare_fast(team[i], team[j])
-            assert pair.disputed_packets == diff.disputed_packet_count()
-            assert pair.equivalent() == (pair.disputed_packets == 0)
-
-    def test_needs_two_firewalls(self):
-        with pytest.raises(SchemaError):
-            compare_many([make_firewall(40)])
-
-
-# ----------------------------------------------------------------------
 # Dispatchers: jobs picks where the tasks run, never what they compute
 # ----------------------------------------------------------------------
 
@@ -363,31 +340,6 @@ class TestDispatchers:
             _counters(shard.progress) for shard in pooled.shards
         ]
 
-    def test_compare_many_same_answer_and_spend(self):
-        team = [make_firewall(95 + i, 6) for i in range(3)]
-
-        def run(**options):
-            return {
-                key: (
-                    pair.by_decisions,
-                    pair.node_count,
-                    pair.path_count,
-                    _counters(pair.progress),
-                )
-                for key, pair in compare_many(
-                    team, budget=Budget(max_nodes=10**9), **options
-                ).items()
-            }
-
-        assert run(jobs=1) == run(jobs=2, start_method="fork")
-
-
-def _classify_none(fw_a, fw_b, jobs):
-    from repro.classify import compile_firewall
-    from repro.parallel import classify_parallel
-
-    return classify_parallel(compile_firewall(fw_a), [], jobs=jobs)
-
 
 @pytest.mark.parametrize("jobs", [0, -2])
 @pytest.mark.parametrize(
@@ -397,10 +349,8 @@ def _classify_none(fw_a, fw_b, jobs):
         lambda fw_a, fw_b, jobs: compare_sharded(
             fw_a, fw_b, plan_shards(fw_a, fw_b, 2), jobs=jobs
         ),
-        lambda fw_a, fw_b, jobs: compare_many([fw_a, fw_b], jobs=jobs),
-        _classify_none,
     ],
-    ids=["compare_parallel", "compare_sharded", "compare_many", "classify_parallel"],
+    ids=["compare_parallel", "compare_sharded"],
 )
 def test_jobs_below_one_is_rejected(call, jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):

@@ -14,12 +14,8 @@ import pytest
 
 from repro.exceptions import BudgetExceededError
 from repro.guard import Budget
-from repro.parallel import (
-    compare_many,
-    compare_parallel,
-    get_pool,
-    shutdown_pools,
-)
+from repro.fdd.fast import compare_fast
+from repro.parallel import compare_parallel, get_pool, shutdown_pools
 from repro.parallel.pool import _SNAPSHOT_DATA, _SNAPSHOT_OBJECTS
 
 from tests.parallel.test_parallel import canonical, make_firewall, serial_summary
@@ -52,40 +48,49 @@ class TestPoolReuse:
         assert stats["alive"] == stats["idle"] == 2
         assert stats["busy"] == 0
 
-    def test_workers_survive_across_compare_many_calls(self):
+    def test_workers_survive_across_different_pairs(self):
+        # One pool serves every pair of a team: the second sweep over
+        # the pairs spawns nothing and gives the same answers.
         team = [make_firewall(70 + i, 6) for i in range(3)]
-        first = compare_many(team, jobs=2, start_method="fork")
-        spawned_after_first = get_pool("fork").stats()["spawned_total"]
-        second = compare_many(team, jobs=2, start_method="fork")
-        assert get_pool("fork").stats()["spawned_total"] == spawned_after_first
-        assert {k: v.disputed_packets for k, v in first.items()} == {
-            k: v.disputed_packets for k, v in second.items()
-        }
+        pairs = [(0, 1), (0, 2), (1, 2)]
 
-    def test_compare_many_publishes_one_snapshot_per_policy(self):
-        # The pair matrix must share policy snapshots: t publications
-        # for t team versions, never one per pair (t choose 2) and never
-        # a per-pair re-publish.
+        def sweep():
+            return {
+                (i, j): compare_parallel(
+                    team[i], team[j], jobs=2, start_method="fork"
+                ).disputed_packets
+                for i, j in pairs
+            }
+
+        first = sweep()
+        spawned_after_first = get_pool("fork").stats()["spawned_total"]
+        assert sweep() == first
+        assert get_pool("fork").stats()["spawned_total"] == spawned_after_first
+
+    def test_compare_parallel_publishes_one_snapshot_per_call(self):
+        # A comparison ships its piece roots as one snapshot, never one
+        # per shard or per task, and retires it before returning.
         team = [make_firewall(80 + i, 6) for i in range(4)]
-        pairs = len(team) * (len(team) - 1) // 2
-        results = compare_many(team, jobs=2, start_method="fork")
-        assert len(results) == pairs
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        results = {
+            (i, j): compare_parallel(
+                team[i], team[j], jobs=2, start_method="fork"
+            )
+            for i, j in pairs
+        }
         stats = get_pool("fork").stats()
-        assert stats["snapshots_published"] == len(team), (
-            f"expected one snapshot per policy ({len(team)}), got "
-            f"{stats['snapshots_published']} — the pair matrix is "
-            "re-publishing per pair"
+        assert stats["snapshots_published"] == len(pairs), (
+            f"expected one snapshot per comparison ({len(pairs)}), got "
+            f"{stats['snapshots_published']}"
         )
         # All retired afterwards: nothing leaks across calls.
         assert not _SNAPSHOT_DATA
         assert not _SNAPSHOT_OBJECTS
         assert not get_pool("fork")._segments
         # And the shared-snapshot numbers are the serial engine's.
-        from repro.fdd.fast import compare_fast
-
-        for (i, j), pc in results.items():
+        for (i, j), par in results.items():
             assert (
-                pc.disputed_packets
+                par.disputed_packets
                 == compare_fast(team[i], team[j]).disputed_packet_count()
             )
 

@@ -13,8 +13,6 @@ Two invariants, checked over random firewalls:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-
-from repro.analysis import compare_with_fallback
 from repro.exceptions import BudgetExceededError, FaultInjectedError
 from repro.fdd import (
     compare_firewalls,
@@ -28,7 +26,7 @@ from repro.fields import toy_schema
 from repro.guard import Budget, FaultInjector, GuardContext
 from repro.policy import dumps
 
-from tests.conftest import brute_force_diff, covered_packets, firewalls
+from tests.conftest import firewalls
 
 SCHEMA = toy_schema(9, 9)
 
@@ -80,17 +78,6 @@ class TestGuardTransparency:
             fw_a, fw_b, guard=GuardContext(GENEROUS)
         ).discrepancies()
         assert plain == guarded
-
-    @given(firewalls(SCHEMA, max_rules=3), firewalls(SCHEMA, max_rules=3))
-    @settings(max_examples=25, deadline=None)
-    def test_fallback_within_budget_equals_exact(self, fw_a, fw_b):
-        report = compare_with_fallback(fw_a, fw_b, budget=GENEROUS)
-        assert not report.approximate
-        assert list(report.discrepancies) == compare_fast(fw_a, fw_b).discrepancies()
-        # Same packets as the reference pipeline (which cuts other cells).
-        assert covered_packets(report.discrepancies) == covered_packets(
-            compare_firewalls(fw_a, fw_b)
-        ) == brute_force_diff(fw_a, fw_b)
 
 
 class TestCleanUnwinding:

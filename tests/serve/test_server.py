@@ -137,10 +137,3 @@ class TestClassification:
         assert server.classify("a", packets[0]) == expected[0]
         tally = server.tally("a", packets)
         assert sum(tally.values()) == len(packets)
-
-    def test_classify_batch_with_jobs_inline_parity(self, twin_policies):
-        server = PolicyServer()
-        server.load(twin_policies[0], name="a")
-        packets = PacketSampler(twin_policies[0].schema, seed=9).uniform_many(50)
-        serial = server.classify_batch("a", packets)
-        assert server.classify_batch("a", packets, jobs=2) == serial

@@ -107,7 +107,12 @@ class TestJobs:
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--jobs", jobs])
         assert exit_info.value.code == 2
-        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if command in ("query", "serve-bench"):
+            # Classification does not fan out: --jobs is no option there.
+            assert "unrecognized arguments: --jobs" in err
+        else:
+            assert "--jobs: must be at least 1" in err
 
     def test_compare_jobs_matches_serial_regions(self, policies, capsys):
         # Region *carving* may differ at shard boundaries (aggregation
@@ -210,25 +215,11 @@ class TestQueryBatch:
         assert code == 0
         assert "classified 1 packet(s)" in capsys.readouterr().out
 
-    def test_jobs_matches_serial_counts(self, standard_policy, packet_file, capsys):
-        import json
-
-        main(["query", standard_policy, "--batch", packet_file, "--format", "json"])
-        serial = json.loads(capsys.readouterr().out)["counts"]
-        code = main(
-            [
-                "query",
-                standard_policy,
-                "--batch",
-                packet_file,
-                "--jobs",
-                "2",
-                "--format",
-                "json",
-            ]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["counts"] == serial
+    def test_jobs_is_a_usage_error(self, standard_policy, packet_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", standard_policy, "--batch", packet_file, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_wrong_arity_exits_2(self, standard_policy, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -283,6 +274,12 @@ class TestServeBench:
         )
         assert code == 3
         assert "budget" in capsys.readouterr().err.lower()
+
+    def test_jobs_is_a_usage_error(self, standard_policy, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-bench", "--jobs", "2", standard_policy])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 class TestCompact:
@@ -347,6 +344,16 @@ class TestFingerprintSliceImport:
         assert code == 0
         assert out.startswith("# rules deciding the region:")
         assert "decision" in out
+
+    def test_slice_comma_continues_value_list(self, policies, capsys):
+        # As in a rule line, a comma piece without '=' continues the
+        # previous field's values: "dst_port=25,80" is "dst_port=25|80".
+        assert main(["slice", policies[0], "dst_port=25|80"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["slice", policies[0], "dst_port=25,80"]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(["slice", policies[0], "interface=0, dst_port=25,80"]) == 0
+        assert "r1" in capsys.readouterr().out.splitlines()[0]
 
     def test_import_iptables(self, tmp_path, capsys):
         config = tmp_path / "rules.v4"
