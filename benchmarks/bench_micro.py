@@ -11,9 +11,11 @@ import random
 import time
 
 from repro.analysis.aggregate import aggregate_discrepancies
+from repro.analysis.discrepancy import format_discrepancy_table
 from repro.analysis.impact import ChangeImpactReport, analyze_change
 from repro.analysis.redundancy import remove_redundant_rules
 from repro.bench import bench_scale
+from repro.bench.trajectory import effective_cores
 from repro.fdd import compare_firewalls, construct_fdd, generate_firewall, reduce_fdd
 from repro.fdd.canonical import fingerprint_canonical, semantic_fingerprint
 from repro.fdd.fast import compare_fast, construct_fdd_fast
@@ -158,8 +160,9 @@ def test_bench_interval_kernel(benchmark, json_saver):
 def test_bench_store_engines(benchmark, json_saver):
     """Store-backed reduce/fingerprint/impact vs the paper-literal tree
     pipeline, redundancy removal vs the per-candidate oracle, plus
-    construction alone and the verified simplifier — writes the
-    committed trajectory anchor ``BENCH_store.json``.
+    construction alone, the verified simplifier and aggregation with
+    rendering — writes the committed trajectory anchor
+    ``BENCH_store.json``.
 
     The issue's acceptance bar lives here: at paper scale the
     store-backed ``semantic_fingerprint`` and ``analyze_change`` must
@@ -251,6 +254,23 @@ def test_bench_store_engines(benchmark, json_saver):
         == fingerprint_canonical(reduce_fdd(construct_fdd(redundancy_fw)))
     )
 
+    # Aggregation and rendering: what ``compare`` and ``impact`` do after
+    # the product walk, on one 300-rule pair at every scale, so the
+    # region count is an exact field of the row.  Seed 1 gives 421
+    # regions, in the band of the design-diff pairs (seed 13 gives 78);
+    # tests/integration/test_design_diff_pins.py pins its stdout.
+    render_size, render_seed = 300, 1
+    render_a, render_b = generate_firewall_pair(render_size, seed=render_seed)
+    cells = compare_fast(render_a, render_b).discrepancies()
+
+    def aggregate_and_render():
+        regions = aggregate_discrepancies(cells)
+        report = ChangeImpactReport(before=render_a, after=render_b, discrepancies=regions)
+        return regions, format_discrepancy_table(regions), report.render()
+
+    render_ms = _best_ms(aggregate_and_render)
+    regions = aggregate_and_render()[0]
+
     json_saver(
         "store_engines",
         [
@@ -304,8 +324,21 @@ def test_bench_store_engines(benchmark, json_saver):
                 "rules_after": simplified.rules_after,
                 "engines_agree": int(simplify_agree),
             },
+            {
+                "key": "render-store",
+                "total_ms": render_ms,
+                "rules": render_size,
+                "seed": render_seed,
+                "cells": len(cells),
+                "regions": len(regions),
+            },
         ],
-        meta={"rules": size, "seed": 13, "scale": bench_scale()},
+        meta={
+            "rules": size,
+            "seed": 13,
+            "scale": bench_scale(),
+            "effective_cores": effective_cores(),
+        },
         anchor="store",
     )
     assert fp_agree and impact_agree and redundancy_agree

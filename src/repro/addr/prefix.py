@@ -126,24 +126,26 @@ def interval_to_prefixes(interval: Interval, bits: int = IPV4_BITS) -> list[Pref
     >>> [str(p) for p in interval_to_prefixes(Interval(2, 8), bits=4)]
     ['2/3', '4/2', '8/4']
     """
+    return [Prefix(network, length, bits) for network, length in _blocks(interval, bits)]
+
+
+def _blocks(interval: Interval, bits: int) -> list[tuple[int, int]]:
+    """The minimal prefix cover of ``interval`` as ``(network, length)`` pairs."""
     if interval.hi > (1 << bits) - 1:
         raise AddressError(
             f"interval {interval} does not fit in {bits} bits"
         )
-    prefixes: list[Prefix] = []
+    blocks: list[tuple[int, int]] = []
     lo, hi = interval.lo, interval.hi
     while lo <= hi:
         # Largest block size that is aligned at lo: lowest set bit of lo
         # (or the whole space when lo == 0).
         align = lo & -lo if lo else 1 << bits
-        # Largest block size that still fits under hi.
-        size = align
-        while size > hi - lo + 1:
-            size >>= 1
-        length = bits - size.bit_length() + 1
-        prefixes.append(Prefix(lo, length, bits))
+        # Capped by the largest power of two that still fits under hi.
+        size = min(align, 1 << ((hi - lo + 1).bit_length() - 1))
+        blocks.append((lo, bits - size.bit_length() + 1))
         lo += size
-    return prefixes
+    return blocks
 
 
 def intervalset_to_prefixes(values: IntervalSet, bits: int = IPV4_BITS) -> list[Prefix]:
@@ -168,19 +170,24 @@ def format_ip_set(values: IntervalSet, domain_max: int = IPV4_MAX) -> str:
         only = values.intervals[0]
         if only.lo == 0 and only.hi == domain_max:
             return "all"
-    direct = intervalset_to_prefixes(values)
+    direct = _set_blocks(values)
     # Sets like "everything but the malicious /16" cover the domain minus a
     # few blocks; their direct prefix cover is long (up to 2w-2 pieces per
     # hole) while the complement is short.  Render whichever reads better.
     complement = IntervalSet.span(0, domain_max) - values
-    inverse = intervalset_to_prefixes(complement)
+    inverse = _set_blocks(complement)
     if len(inverse) + 1 < len(direct):
-        rendered = ", ".join(_format_prefix(p) for p in inverse)
+        rendered = ", ".join(_format_block(*block) for block in inverse)
         return f"all except {rendered}"
-    return ", ".join(_format_prefix(p) for p in direct)
+    return ", ".join(_format_block(*block) for block in direct)
 
 
-def _format_prefix(prefix: Prefix) -> str:
-    if prefix.length == IPV4_BITS:
-        return int_to_ip(prefix.network)
-    return str(prefix)
+def _set_blocks(values: IntervalSet) -> list[tuple[int, int]]:
+    """:func:`intervalset_to_prefixes` as ``(network, length)`` pairs."""
+    return [block for iv in values.intervals for block in _blocks(iv, IPV4_BITS)]
+
+
+def _format_block(network: int, length: int) -> str:
+    if length == IPV4_BITS:
+        return int_to_ip(network)
+    return f"{int_to_ip(network)}/{length}"

@@ -11,7 +11,7 @@ human-readable regions the paper's Table 3 shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.fields.packet import Packet
 from repro.fields.schema import FieldSchema
@@ -20,7 +20,12 @@ from repro.policy.decision import Decision
 from repro.policy.predicate import Predicate
 from repro.policy.rule import Rule
 
-__all__ = ["Discrepancy", "ComparisonReport", "format_discrepancy_table"]
+__all__ = [
+    "Discrepancy",
+    "ComparisonReport",
+    "format_discrepancy_table",
+    "label_formatter",
+]
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,28 @@ class ComparisonReport:
         return not self.approximate and not self.discrepancies
 
 
+def label_formatter(schema: FieldSchema) -> Callable[[int, IntervalSet], str]:
+    """``fmt(index, values)``: ``schema[index].format_value_set(values)``,
+    rendering each distinct ``(index, values)`` once.
+
+    Aggregated regions share most of their labels, and an IP label's
+    prefix cover is the costly part of a render.  The memo lives only as
+    long as the returned function, one table or report render, so a
+    long-lived process keeps no label cache.
+    """
+    fields = schema.fields
+    memo: dict[tuple[int, IntervalSet], str] = {}
+
+    def fmt(index: int, values: IntervalSet) -> str:
+        key = (index, values)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = fields[index].format_value_set(values)
+        return text
+
+    return fmt
+
+
 def format_discrepancy_table(
     discrepancies: Sequence[Discrepancy],
     *,
@@ -126,11 +153,12 @@ def format_discrepancy_table(
         return "(no functional discrepancies)"
     schema = discrepancies[0].schema
     headers = ["#"] + [f.symbol for f in schema] + [name_a, name_b]
+    fmt = label_formatter(schema)
     rows: list[list[str]] = []
     for i, disc in enumerate(discrepancies, start=1):
         cells = [str(i)]
-        for values, field in zip(disc.sets, schema):
-            cells.append(field.format_value_set(values))
+        for index, values in enumerate(disc.sets):
+            cells.append(fmt(index, values))
         cells.append(str(disc.decision_a))
         cells.append(str(disc.decision_b))
         rows.append(cells)

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from repro.analysis.aggregate import aggregate_discrepancies
-from repro.analysis.discrepancy import Discrepancy, format_discrepancy_table
+from repro.analysis.discrepancy import (
+    Discrepancy,
+    format_discrepancy_table,
+    label_formatter,
+)
 from repro.fdd.fast import compare_fast
 from repro.policy.firewall import Firewall
 
@@ -93,13 +97,14 @@ class ChangeImpactReport:
             f"  {len(self.discrepancies)} discrepancy region(s),"
             f" {self.affected_packets()} packet(s) affected"
         )
+        fmt = label_formatter(self.discrepancies[0].schema)
         for kind, discs in self.by_kind().items():
             if not discs:
                 continue
             lines.append(f"  {kind} ({len(discs)} region(s)):")
             for disc in discs:
                 lines.append(
-                    f"    {disc.predicate.describe()}:"
+                    f"    {disc.predicate.describe(format_value=fmt)}:"
                     f" {disc.decision_a} -> {disc.decision_b}"
                 )
         return "\n".join(lines)

@@ -40,10 +40,19 @@ __all__ = ["CompiledMatcher"]
 #: misinterpreting them.
 FORMAT_VERSION = 1
 
-#: Batches at least this large route through the vectorized kernel
-#: (when numpy is available); smaller batches stay on the scalar loop,
-#: whose per-call overhead is lower.
+#: Batches at least this large route through the vectorized kernel once
+#: it is built (when numpy is available); smaller batches stay on the
+#: scalar loop, whose per-call overhead is lower.
 KERNEL_MIN_BATCH = 32
+
+#: Batches at least this large build the kernel when it is not built yet.
+#: Building costs a numpy import (135-167 ms) plus the lowering (2-6 ms
+#: for 60- to 1,000-rule policies); the kernel then saves 1.4-1.8 us per
+#: packet over the scalar loop (1.6-2.2 us against 0.3-0.4 us), so it
+#: breaks even at 80-125k packets (2-vCPU x86-64, CPython 3.11, numpy
+#: 2.4).  A serving process that classifies many batches builds it once
+#: up front with :meth:`CompiledMatcher.batch_kernel`.
+KERNEL_CROSSOVER_BATCH = 100_000
 
 #: Sentinel distinguishing "kernel not built yet" from "kernel
 #: unavailable" (``None``) in the lazy cache slot.
@@ -116,8 +125,9 @@ class CompiledMatcher:
     def batch_kernel(self):
         """The vectorized batch kernel, or ``None`` when unavailable.
 
-        Built lazily on first use and cached; a derived structure that
-        never travels through pickle (workers rebuild it on arrival).
+        Built on the first call (or by the first batch of at least
+        :data:`KERNEL_CROSSOVER_BATCH`) and cached; a derived structure
+        that never travels through pickle (workers rebuild it on arrival).
         ``None`` means numpy is missing or the diagram cannot be
         level-lowered — batch calls then use the scalar loop.  See
         :mod:`repro.classify.kernels`.
@@ -128,22 +138,35 @@ class CompiledMatcher:
             self._kernel = build_batch_kernel(self)
         return self._kernel
 
+    def _kernel_for(self, size: int):
+        """The batch kernel if a ``size``-packet batch should use it.
+
+        A built kernel serves every batch of at least
+        :data:`KERNEL_MIN_BATCH`; an unbuilt one is built only for a batch
+        of at least :data:`KERNEL_CROSSOVER_BATCH`, which repays the
+        numpy import and the lowering.
+        """
+        if size < KERNEL_MIN_BATCH:
+            return None
+        if self._kernel is _KERNEL_UNBUILT and size < KERNEL_CROSSOVER_BATCH:
+            return None
+        return self.batch_kernel()
+
     def classify_batch(
         self, packets: Iterable[Packet | Sequence[int]]
     ) -> list[Decision]:
         """Decisions for many packets, in input order.
 
-        Large batches route through the vectorized kernel when numpy is
-        available (see :mod:`repro.classify.kernels`); otherwise — and
-        for small batches, where per-call overhead dominates — a Python
-        loop with every array bound to a local.
+        Batches route through the vectorized kernel when
+        :meth:`_kernel_for` says it pays (see
+        :mod:`repro.classify.kernels`); otherwise through a Python loop
+        with every array bound to a local.
         """
         if not isinstance(packets, (list, tuple)):
             packets = list(packets)
-        if len(packets) >= KERNEL_MIN_BATCH:
-            kernel = self.batch_kernel()
-            if kernel is not None:
-                return kernel.classify_batch(packets)
+        kernel = self._kernel_for(len(packets))
+        if kernel is not None:
+            return kernel.classify_batch(packets)
         return self._classify_batch_scalar(packets)
 
     def _classify_batch_scalar(
@@ -175,12 +198,9 @@ class CompiledMatcher:
         and ``serve-bench`` report)."""
         if not isinstance(packets, (list, tuple)):
             packets = list(packets)
-        if len(packets) >= KERNEL_MIN_BATCH:
-            kernel = self.batch_kernel()
-            if kernel is not None:
-                return kernel.tally_indices(
-                    kernel.classify_indices(kernel.stage(packets))
-                )
+        kernel = self._kernel_for(len(packets))
+        if kernel is not None:
+            return kernel.tally_indices(kernel.classify_indices(kernel.stage(packets)))
         counts: dict[Decision, int] = {}
         for decision in self._classify_batch_scalar(packets):
             counts[decision] = counts.get(decision, 0) + 1

@@ -658,41 +658,67 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _read_packets(handle, schema) -> list:
+def _read_packets(handle, schema) -> list[tuple[int, ...]]:
     """Parse a packet-per-line stream using the schema's vocabulary.
 
     Values appear in schema field order, separated by commas and/or
     whitespace; each may be anything the field parses to a *single*
     value (integers, dotted quads, service or protocol names).  Blank
-    lines and ``#`` comments are skipped.
-    """
-    from repro.fields.packet import Packet
+    lines and ``#`` comments are skipped.  Returns one tuple of ints per
+    packet.
 
+    Dotted quads on IP fields and plain ASCII integers on other fields
+    convert directly; every other token, and any value outside its
+    field's domain, goes through :meth:`Field.parse_value_set`, so each
+    error reads as the field's own parser words it.
+    """
+    from repro.addr.ipv4 import ascii_digits, ip_to_int
+    from repro.exceptions import AddressError
+    from repro.fields.schema import FieldKind
+
+    width = len(schema)
+    columns = [(field, field.kind is FieldKind.IP, field.max_value) for field in schema]
     packets = []
     for lineno, line in enumerate(handle, 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         tokens = body.replace(",", " ").split()
-        if len(tokens) != len(schema):
+        if len(tokens) != width:
             raise ParseError(
-                f"line {lineno}: expected {len(schema)} field value(s),"
+                f"line {lineno}: expected {width} field value(s),"
                 f" got {len(tokens)}"
             )
         values = []
-        for field, token in zip(schema, tokens):
-            try:
-                value_set = field.parse_value_set(token)
-            except ReproError as exc:
-                raise ParseError(f"line {lineno}: {field.name}: {exc}") from exc
-            if value_set.count() != 1:
-                raise ParseError(
-                    f"line {lineno}: {field.name}: {token!r} names"
-                    f" {value_set.count()} values, need exactly one"
-                )
-            values.append(value_set.min())
-        packets.append(Packet(values, schema))
+        for (field, is_ip, top), token in zip(columns, tokens):
+            if is_ip:
+                try:
+                    value = ip_to_int(token)
+                except AddressError:
+                    value = -1
+            elif ascii_digits(token):
+                value = int(token)
+            else:
+                value = -1
+            if not 0 <= value <= top:
+                value = _parse_packet_value(field, token, lineno)
+            values.append(value)
+        packets.append(tuple(values))
     return packets
+
+
+def _parse_packet_value(field, token: str, lineno: int) -> int:
+    """``token`` as exactly one value of ``field``, by the field's parser."""
+    try:
+        value_set = field.parse_value_set(token)
+    except ReproError as exc:
+        raise ParseError(f"line {lineno}: {field.name}: {exc}") from exc
+    if value_set.count() != 1:
+        raise ParseError(
+            f"line {lineno}: {field.name}: {token!r} names"
+            f" {value_set.count()} values, need exactly one"
+        )
+    return value_set.min()
 
 
 def _query_batch(args) -> int:
@@ -764,7 +790,7 @@ def _cmd_serve_bench(args) -> int:
         matcher = server.matcher(path)
         sampler = PacketSampler(firewall.schema, seed=args.seed)
         packets = sampler.uniform_many(max(1, args.packets))
-        matcher.classify_batch(packets[:64])  # warm the lazy batch kernel
+        matcher.batch_kernel()  # a serving process builds it once, up front
         start = time.perf_counter()
         decisions = matcher.classify_batch(packets)
         compiled_s = time.perf_counter() - start

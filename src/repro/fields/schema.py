@@ -22,7 +22,7 @@ names for protocols).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Iterator
 
@@ -68,12 +68,15 @@ class Field:
     max_value: int
     #: Short symbol used in compact rule rendering (e.g. ``S`` for source IP).
     symbol: str = ""
+    #: The domain as an interval set, built once (see :attr:`domain_set`).
+    _domain_set: IntervalSet = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_value < 0:
             raise SchemaError(f"field {self.name!r} has negative domain max")
         if not self.symbol:
             object.__setattr__(self, "symbol", self.name[0].upper())
+        object.__setattr__(self, "_domain_set", IntervalSet.span(0, self.max_value))
 
     @property
     def domain(self) -> Interval:
@@ -82,8 +85,9 @@ class Field:
 
     @property
     def domain_set(self) -> IntervalSet:
-        """The field's domain as an :class:`IntervalSet`."""
-        return IntervalSet.span(0, self.max_value)
+        """The field's domain as an :class:`IntervalSet` (one shared,
+        immutable instance per field)."""
+        return self._domain_set
 
     def domain_size(self) -> int:
         """Number of values in the domain (``|D(F_i)|`` in the paper)."""

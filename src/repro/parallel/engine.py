@@ -85,8 +85,9 @@ from repro.guard.fault import FaultInjector
 from repro.intervals.intervalset import IntervalSet
 from repro.parallel.pool import (
     WorkerPool,
+    drop_snapshot,
     get_pool,
-    register_derived_cache,
+    hold_local_snapshot,
     resolve_snapshot,
 )
 from repro.parallel.supervisor import (
@@ -445,27 +446,6 @@ class _SnapshotShardTask:
         return (self.snapshot_id,)
 
 
-#: Per-snapshot payload cache: ``snapshot_id -> (schema,
-#: {piece_index: (root_a, root_b)})``.  In workers it holds the deserialized
-#: snapshot (one shm read + unpickle per worker per comparison); in the
-#: parent :func:`_stage` seeds it with the live diagrams, so in-process
-#: dispatch and the degraded serial fallback never deserialize at all.
-#: Each shard task interns its piece into a *fresh* store — sharing a
-#: warm store across shards would let the pair-memo skip product visits
-#: for whichever shard happened to run second, making guard node-spend
-#: depend on worker scheduling.  Registered with the pool so retiring
-#: the snapshot evicts it everywhere.
-_SNAPSHOT_PAYLOADS: dict[str, tuple] = register_derived_cache({})
-
-
-def _snapshot_payload(snapshot_id: str) -> tuple:
-    found = _SNAPSHOT_PAYLOADS.get(snapshot_id)
-    if found is None:
-        found = resolve_snapshot(snapshot_id)
-        _SNAPSHOT_PAYLOADS[snapshot_id] = found
-    return found
-
-
 def _execute_snapshot_shard(task: _SnapshotShardTask) -> ShardResult:
     """Build one shard's difference from the cached snapshot payload.
 
@@ -478,7 +458,7 @@ def _execute_snapshot_shard(task: _SnapshotShardTask) -> ShardResult:
     """
     guard = _task_guard(task.budget, task.fault)
     start = time.perf_counter()
-    schema, piece_roots = _snapshot_payload(task.snapshot_id)
+    schema, piece_roots = resolve_snapshot(task.snapshot_id)
     raw_a, raw_b = piece_roots[task.piece_index]
     store = NodeStore()
     root_a = store.intern(raw_a)
@@ -562,21 +542,19 @@ def _stage(payload: tuple, pool: WorkerPool | None) -> str:
 
     Pool dispatch publishes it once to the workers; in process
     (``pool is None``) nothing is published and the payload is only
-    cached under a local id.  The parent's cache always holds the live
-    objects, so the parent never deserializes its own payload.
+    held under a local id.  Either way the pool's snapshot cache holds
+    the live objects in the parent, so the parent never deserializes its
+    own payload.
     """
     if pool is None:
-        snapshot_id = f"local-{id(payload)}"
-    else:
-        snapshot_id = pool.publish_snapshot(payload)
-    _SNAPSHOT_PAYLOADS[snapshot_id] = payload
-    return snapshot_id
+        return hold_local_snapshot(payload)
+    return pool.publish_snapshot(payload)
 
 
 def _retire(snapshot_id: str, pool: WorkerPool | None) -> None:
     """Undo :func:`_stage`: drop the payload everywhere it went."""
     if pool is None:
-        _SNAPSHOT_PAYLOADS.pop(snapshot_id, None)
+        drop_snapshot(snapshot_id)
     else:
         pool.retire_snapshot(snapshot_id)
 

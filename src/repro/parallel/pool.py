@@ -54,7 +54,8 @@ __all__ = [
     "get_pool",
     "shutdown_pools",
     "resolve_snapshot",
-    "register_derived_cache",
+    "hold_local_snapshot",
+    "drop_snapshot",
 ]
 
 #: Raw published snapshot data, per process: ``id -> (kind, data)`` where
@@ -63,26 +64,27 @@ __all__ = [
 #: parent and by ``("snap", ...)`` pipe messages in workers.
 _SNAPSHOT_DATA: dict[str, tuple[str, object]] = {}
 
-#: Lazily deserialized snapshot objects, per process.
+#: Snapshot objects, per process: deserialized lazily in workers, the
+#: live published (or locally held) objects in the parent.
 _SNAPSHOT_OBJECTS: dict[str, object] = {}
 
-#: Consumer-registered caches keyed by snapshot id (e.g. the comparison
-#: engine's per-snapshot node stores); entries are evicted when the
-#: snapshot is retired, so derived state cannot outlive its source.
-_DERIVED_CACHES: list[dict] = []
+
+def hold_local_snapshot(obj) -> str:
+    """Make ``obj`` resolvable in this process only; returns its id.
+
+    Nothing is published: in-process dispatch resolves the live object
+    through :func:`resolve_snapshot` like any snapshot, and
+    :func:`drop_snapshot` releases it.
+    """
+    snapshot_id = f"local-{id(obj)}"
+    _SNAPSHOT_OBJECTS[snapshot_id] = obj
+    return snapshot_id
 
 
-def register_derived_cache(cache: dict) -> dict:
-    """Register a ``{snapshot_id: ...}`` cache for retire-time eviction."""
-    _DERIVED_CACHES.append(cache)
-    return cache
-
-
-def _drop_snapshot(snapshot_id: str) -> None:
+def drop_snapshot(snapshot_id: str) -> None:
+    """Evict a snapshot's data and object from this process."""
     _SNAPSHOT_DATA.pop(snapshot_id, None)
     _SNAPSHOT_OBJECTS.pop(snapshot_id, None)
-    for cache in _DERIVED_CACHES:
-        cache.pop(snapshot_id, None)
 
 
 def resolve_snapshot(snapshot_id: str):
@@ -161,7 +163,7 @@ def _pool_worker_loop(conn) -> None:
       anywhere on the pipe is caught.  ``action`` is an optional chaos
       action applied first (:func:`repro.chaos.prepare_task`).
     * ``("snap", id, kind, data)`` — cache a published snapshot.
-    * ``("drop", id)`` — evict a retired snapshot (and derived caches).
+    * ``("drop", id)`` — evict a retired snapshot.
     * ``None`` — exit gracefully (atexit hooks run).
 
     A daemon thread sends ``("hb", counter)`` heartbeats *only while a
@@ -199,7 +201,7 @@ def _pool_worker_loop(conn) -> None:
             _SNAPSHOT_DATA[snapshot_id] = (snap_kind, data)
             continue
         if kind == "drop":
-            _drop_snapshot(message[1])
+            drop_snapshot(message[1])
             continue
         _, index, func, task, action, hb_interval = message
         state["interval"] = hb_interval
@@ -401,7 +403,7 @@ class WorkerPool:
                 segment.unlink()
             except Exception:
                 pass
-        _drop_snapshot(snapshot_id)
+        drop_snapshot(snapshot_id)
 
     # ------------------------------------------------------------------
     # Introspection / teardown

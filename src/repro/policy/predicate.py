@@ -195,18 +195,26 @@ class Predicate:
             self._hash = hash((self._schema, self._sets))
         return self._hash
 
-    def describe(self, *, skip_all: bool = True) -> str:
+    def describe(self, *, skip_all: bool = True, format_value=None) -> str:
         """Render in the field vocabulary, e.g. ``dst_ip=192.168.0.1, dst_port=25 (smtp)``.
 
         Whole-domain conjuncts are omitted when ``skip_all`` (the paper's
         convention: "we can ... remove the conjunct Fi in D(Fi) altogether").
-        An all-domain predicate renders as ``any``.
+        An all-domain predicate renders as ``any``.  ``format_value(index,
+        values)``, when given, renders each conjunct in place of the
+        field's :meth:`~repro.fields.Field.format_value_set` (a render's
+        memo, see :func:`repro.analysis.discrepancy.label_formatter`).
         """
         parts = []
-        for values, field in zip(self._sets, self._schema):
+        for index, (values, field) in enumerate(zip(self._sets, self._schema)):
             if skip_all and values == field.domain_set:
                 continue
-            parts.append(f"{field.name}={field.format_value_set(values)}")
+            text = (
+                field.format_value_set(values)
+                if format_value is None
+                else format_value(index, values)
+            )
+            parts.append(f"{field.name}={text}")
         return ", ".join(parts) if parts else "any"
 
     def __repr__(self) -> str:

@@ -131,13 +131,21 @@ class PolicyServer:
         self, key: str, packets: Iterable[Packet | Sequence[int]]
     ) -> list[Decision]:
         """Decisions for a batch under one policy."""
-        return self.matcher(key).classify_batch(packets)
+        return self._batch_matcher(key).classify_batch(packets)
 
     def tally(
         self, key: str, packets: Iterable[Packet | Sequence[int]]
     ) -> dict[Decision, int]:
         """Decision histogram of a batch under one policy."""
-        return self.matcher(key).tally(packets)
+        return self._batch_matcher(key).tally(packets)
+
+    def _batch_matcher(self, key: str) -> CompiledMatcher:
+        # A server is long-lived: it builds each artifact's batch kernel
+        # once, so every batch of KERNEL_MIN_BATCH or more uses it, not
+        # only batches large enough to repay the set-up on their own.
+        matcher = self.matcher(key)
+        matcher.batch_kernel()
+        return matcher
 
     # ------------------------------------------------------------------
     # Introspection

@@ -5,7 +5,13 @@ import pickle
 import pytest
 
 from repro.classify import compile_firewall
-from repro.classify.matcher import FORMAT_VERSION, KERNEL_MIN_BATCH
+from repro.classify.kernels import HAVE_NUMPY
+from repro.classify.matcher import (
+    _KERNEL_UNBUILT,
+    FORMAT_VERSION,
+    KERNEL_CROSSOVER_BATCH,
+    KERNEL_MIN_BATCH,
+)
 from repro.fields import PacketSampler, toy_schema
 from repro.policy import ACCEPT, DISCARD, Firewall, Rule
 from repro.synth import SyntheticFirewallGenerator
@@ -42,7 +48,7 @@ class TestPickle:
         assert clone.classify_batch(packets) == matcher.classify_batch(packets)
 
     def test_kernel_cache_not_pickled(self, matcher, packets):
-        matcher.classify_batch(packets)  # force the lazy kernel build
+        matcher.batch_kernel()  # build the derived kernel
         state = matcher.__getstate__()
         assert "_kernel" not in state and "kernel" not in state
 
@@ -102,6 +108,57 @@ class TestBatchDispatch:
 
     def test_call_is_classify(self, matcher, packets):
         assert matcher(packets[0]) == matcher.classify(packets[0])
+
+
+class TestKernelRouting:
+    """The kernel serves a batch only where it repays its set-up."""
+
+    def test_batch_below_crossover_builds_no_kernel(self, matcher, packets):
+        assert KERNEL_MIN_BATCH <= len(packets) < KERNEL_CROSSOVER_BATCH
+        assert matcher.classify_batch(packets) == [matcher.classify(p) for p in packets]
+        assert matcher.tally(packets)
+        assert matcher._kernel is _KERNEL_UNBUILT
+
+    def test_built_kernel_serves_every_batch_from_min_size(self, matcher, packets):
+        calls = []
+
+        class Recording:
+            def classify_batch(self, batch):
+                calls.append(len(batch))
+                return [matcher.classify(p) for p in batch]
+
+        matcher._kernel = Recording()
+        for size in (KERNEL_MIN_BATCH - 1, KERNEL_MIN_BATCH, len(packets)):
+            assert matcher.classify_batch(packets[:size]) == [
+                matcher.classify(p) for p in packets[:size]
+            ]
+        assert calls == [KERNEL_MIN_BATCH, len(packets)]
+
+    def test_decisions_agree_on_both_sides_of_the_crossover(self, matcher, packets):
+        below = [tuple(p) for p in packets] * (KERNEL_CROSSOVER_BATCH // len(packets))
+        if len(below) == KERNEL_CROSSOVER_BATCH:
+            below.pop()
+        at = below + [tuple(packets[0])]
+        assert len(at) == KERNEL_CROSSOVER_BATCH
+        scalar = matcher.classify_batch(below)
+        assert matcher._kernel is _KERNEL_UNBUILT
+        routed = matcher.classify_batch(at)
+        assert (matcher._kernel is not None) == HAVE_NUMPY
+        assert routed == scalar + [matcher.classify(packets[0])]
+        assert matcher.classify_batch(below) == scalar
+
+    def test_every_path_classifies_without_numpy(self, firewall, packets, monkeypatch):
+        import repro.classify.kernels as kernels
+
+        monkeypatch.setattr(kernels, "_np", None)
+        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        matcher = compile_firewall(firewall)
+        big = [tuple(p) for p in packets] * (KERNEL_CROSSOVER_BATCH // len(packets) + 1)
+        for batch in (packets[: KERNEL_MIN_BATCH - 1], packets, big):
+            expected = [matcher.classify(p) for p in batch]
+            assert matcher.classify_batch(batch) == expected
+            assert sum(matcher.tally(batch).values()) == len(batch)
+        assert matcher.batch_kernel() is None
 
 
 class TestStandardSchema:

@@ -1,8 +1,10 @@
 """Differential fuzz: the compiled classifier vs both interpreted engines.
 
 The standing corpus drives >= 100,000 packets through three independent
-implementations of the same semantics — the flat-array matcher (batch
-path, kernel or scalar), ``FDD.evaluate`` on the reduced diagram, and
+implementations of the same semantics — the flat-array matcher (its
+``classify_batch`` route and, where numpy is installed, the vectorized
+kernel driven explicitly, since each corpus entry is below the batch
+size that builds it), ``FDD.evaluate`` on the reduced diagram, and
 first-match ``Firewall.evaluate`` — and requires exact agreement on
 every packet.  Half of each firewall's packets are uniform draws; the
 other half are boundary packets (rule-interval endpoints +/- 1), where
@@ -43,6 +45,11 @@ def test_compiled_vs_fdd_vs_firewall_on_100k_packets():
             sampler.near_boundaries(pools) for _ in range(num_packets // 2)
         ]
         compiled = matcher.classify_batch(packets)
+        kernel = matcher.batch_kernel()
+        if kernel is not None:
+            assert kernel.classify_batch(packets) == compiled, (
+                f"kernel vs classify_batch mismatch (rules={rules}, seed={seed})"
+            )
         for packet, decision in zip(packets, compiled):
             assert decision == fdd.evaluate(packet), (
                 f"compiled vs FDD mismatch at {tuple(packet)}"

@@ -137,3 +137,15 @@ class TestClassification:
         assert server.classify("a", packets[0]) == expected[0]
         tally = server.tally("a", packets)
         assert sum(tally.values()) == len(packets)
+
+    def test_batches_build_the_kernel_once(self, twin_policies):
+        from repro.classify.kernels import HAVE_NUMPY
+
+        server = PolicyServer()
+        server.load(twin_policies[0], name="a")
+        packets = PacketSampler(twin_policies[0].schema, seed=9).uniform_many(100)
+        server.classify_batch("a", packets)
+        kernel = server.matcher("a")._kernel
+        assert (kernel is not None) == HAVE_NUMPY
+        server.tally("a", packets)
+        assert server.matcher("a")._kernel is kernel

@@ -131,6 +131,18 @@ def test_comparison_commands_load_no_tree_engine(policies, command):
     assert _loaded(report["modules"], TREE_ENGINE) == []
 
 
+def test_query_batch_below_the_crossover_loads_no_numpy(tmp_path):
+    from repro.synth import SyntheticFirewallGenerator
+
+    dump(SyntheticFirewallGenerator(seed=1).generate(30), tmp_path / "p.fw", schema_key="standard")
+    line = "10.0.0.1, 192.168.0.1, 1024, smtp, tcp\n"
+    (tmp_path / "packets.txt").write_text(line * 500, encoding="utf-8")
+    report = _run(["query", "p.fw", "--batch", "packets.txt", "--format", "json"], tmp_path)
+    assert report["code"] == 0
+    assert "repro.classify.matcher" in report["modules"]
+    assert _loaded(report["modules"], ["numpy", "repro.classify.kernels"]) == []
+
+
 def test_cli_dialects_match_the_registry():
     assert _DIALECTS == dialect_names()
 
