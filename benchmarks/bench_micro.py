@@ -160,7 +160,8 @@ def test_bench_interval_kernel(benchmark, json_saver):
 def test_bench_store_engines(benchmark, json_saver):
     """Store-backed reduce/fingerprint/impact vs the paper-literal tree
     pipeline, redundancy removal vs the per-candidate oracle, plus
-    construction alone, the verified simplifier and aggregation with
+    construction alone (the rule-by-rule fold and partition
+    construction), the verified simplifier and aggregation with
     rendering — writes the committed trajectory anchor
     ``BENCH_store.json``.
 
@@ -211,6 +212,23 @@ def test_bench_store_engines(benchmark, json_saver):
     construct_ms = _best_ms(construct_pair)
     pair_store, pair_fdd_a, _ = construct_pair()
     construct_agree = fingerprint_canonical(pair_fdd_a) == tree_fp
+
+    # Partition construction of the same pair in one store: the route
+    # the comparison commands take.  Its counters are the final
+    # diagrams' allocations (the fold's include every per-rule
+    # intermediate); then the fold in the same store must return the
+    # very same roots.
+    def build_pair():
+        store = NodeStore()
+        return store, store.build(fw_a), store.build(fw_b)
+
+    partition_ms = _best_ms(build_pair)
+    part_store, part_a, part_b = build_pair()
+    part_nodes, part_edges = part_store.nodes_created, part_store.edges_created
+    partition_agree = (
+        part_a.root is part_store.construct(fw_a).root
+        and part_b.root is part_store.construct(fw_b).root
+    )
 
     _, store_impact_ms = _timed_once(lambda: analyze_change(fw_a, fw_b))
     tree_impact, tree_impact_ms = _timed_once(
@@ -292,6 +310,14 @@ def test_bench_store_engines(benchmark, json_saver):
                 "engines_agree": int(construct_agree),
             },
             {
+                "key": "partition-store",
+                "total_ms": partition_ms,
+                "rules": size,
+                "nodes": part_nodes,
+                "edges": part_edges,
+                "engines_agree": int(partition_agree),
+            },
+            {
                 "key": "impact-store",
                 "total_ms": store_impact_ms,
                 "rules": size,
@@ -342,7 +368,7 @@ def test_bench_store_engines(benchmark, json_saver):
         anchor="store",
     )
     assert fp_agree and impact_agree and redundancy_agree
-    assert construct_agree and simplify_agree
+    assert construct_agree and partition_agree and simplify_agree
     assert store_fp_ms * 2 <= tree_fp_ms
     assert store_impact_ms * 2 <= tree_impact_ms
     benchmark(lambda: semantic_fingerprint(fw_a))

@@ -15,6 +15,8 @@ the largest aligned power-of-two block that fits inside the remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from repro.exceptions import AddressError
 from repro.intervals.interval import Interval
@@ -129,13 +131,13 @@ def interval_to_prefixes(interval: Interval, bits: int = IPV4_BITS) -> list[Pref
     return [Prefix(network, length, bits) for network, length in _blocks(interval, bits)]
 
 
-def _blocks(interval: Interval, bits: int) -> list[tuple[int, int]]:
-    """The minimal prefix cover of ``interval`` as ``(network, length)`` pairs."""
+def _blocks(interval: Interval, bits: int) -> Iterator[tuple[int, int]]:
+    """The minimal prefix cover of ``interval`` as ``(network, length)``
+    pairs, smallest network first, one block at a time."""
     if interval.hi > (1 << bits) - 1:
         raise AddressError(
             f"interval {interval} does not fit in {bits} bits"
         )
-    blocks: list[tuple[int, int]] = []
     lo, hi = interval.lo, interval.hi
     while lo <= hi:
         # Largest block size that is aligned at lo: lowest set bit of lo
@@ -143,9 +145,8 @@ def _blocks(interval: Interval, bits: int) -> list[tuple[int, int]]:
         align = lo & -lo if lo else 1 << bits
         # Capped by the largest power of two that still fits under hi.
         size = min(align, 1 << ((hi - lo + 1).bit_length() - 1))
-        blocks.append((lo, bits - size.bit_length() + 1))
+        yield lo, bits - size.bit_length() + 1
         lo += size
-    return blocks
 
 
 def intervalset_to_prefixes(values: IntervalSet, bits: int = IPV4_BITS) -> list[Prefix]:
@@ -173,18 +174,28 @@ def format_ip_set(values: IntervalSet, domain_max: int = IPV4_MAX) -> str:
     direct = _set_blocks(values)
     # Sets like "everything but the malicious /16" cover the domain minus a
     # few blocks; their direct prefix cover is long (up to 2w-2 pieces per
-    # hole) while the complement is short.  Render whichever reads better.
-    complement = IntervalSet.span(0, domain_max) - values
-    inverse = _set_blocks(complement)
-    if len(inverse) + 1 < len(direct):
-        rendered = ", ".join(_format_block(*block) for block in inverse)
-        return f"all except {rendered}"
+    # hole) while the complement is short.  Render whichever reads better:
+    # the complement only when it is at least two blocks shorter, so its
+    # cover stops as soon as it reaches ``len(direct) - 1`` blocks.
+    limit = len(direct) - 1
+    if limit > 1:
+        complement = IntervalSet.span(0, domain_max) - values
+        inverse = _set_blocks(complement, limit)
+        if len(inverse) < limit:
+            rendered = ", ".join(_format_block(*block) for block in inverse)
+            return f"all except {rendered}"
     return ", ".join(_format_block(*block) for block in direct)
 
 
-def _set_blocks(values: IntervalSet) -> list[tuple[int, int]]:
-    """:func:`intervalset_to_prefixes` as ``(network, length)`` pairs."""
-    return [block for iv in values.intervals for block in _blocks(iv, IPV4_BITS)]
+def _set_blocks(
+    values: IntervalSet, limit: int | None = None
+) -> list[tuple[int, int]]:
+    """:func:`intervalset_to_prefixes` as ``(network, length)`` pairs,
+    cut off after ``limit`` blocks when a limit is given."""
+    blocks = (
+        block for iv in values.intervals for block in _blocks(iv, IPV4_BITS)
+    )
+    return list(islice(blocks, limit))
 
 
 def _format_block(network: int, length: int) -> str:

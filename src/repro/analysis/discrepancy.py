@@ -11,6 +11,7 @@ human-readable regions the paper's Table 3 shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from repro.fields.packet import Packet
@@ -47,9 +48,9 @@ class Discrepancy:
             "a discrepancy must carry two different decisions"
         )
 
-    @property
+    @cached_property
     def predicate(self) -> Predicate:
-        """The disputed packet region as a predicate."""
+        """The disputed packet region as a predicate (built once)."""
         return Predicate(self.schema, self.sets)
 
     def rule_a(self) -> Rule:

@@ -108,7 +108,7 @@ def direct_compare(firewalls: Sequence[Firewall]) -> list[MultiDiscrepancy]:
     if any(fw.schema != schema for fw in firewalls):
         raise SchemaError("all firewalls must share one field schema")
     store = NodeStore()
-    roots = tuple(store.construct(fw).root for fw in firewalls)
+    roots = tuple(store.build(fw).root for fw in firewalls)
     out: list[MultiDiscrepancy] = []
 
     def rec(nodes: tuple[Node, ...], sets: tuple[IntervalSet, ...]) -> None:

@@ -35,7 +35,7 @@ from repro.guard.context import GuardContext
 from repro.intervals.intervalset import IntervalSet
 from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
-from repro.analysis.redundancy import _subtract_box
+from repro.analysis.redundancy import _overlap, _subtract_box
 
 __all__ = ["EffectiveRule", "EffectiveAnalysis", "effective_rules"]
 
@@ -120,9 +120,8 @@ def _conflict_sweep(
         box = earlier.predicate.sets
         overlap_box: tuple[IntervalSet, ...] | None = None
         for region in residual:
-            overlap = tuple(a & b for a, b in zip(region, box))
-            if not any(o.is_empty() for o in overlap):
-                overlap_box = overlap
+            overlap_box = _overlap(region, box)
+            if overlap_box is not None:
                 break
         if overlap_box is None:
             continue

@@ -70,14 +70,33 @@ def find_upward_redundant(firewall: Firewall) -> list[int]:
     return redundant
 
 
+def _overlap(
+    region: tuple[IntervalSet, ...], box: tuple[IntervalSet, ...]
+) -> tuple[IntervalSet, ...] | None:
+    """The intersection of two boxes, or ``None`` when they are disjoint.
+
+    Field by field: a bounds check before each intersection, and the
+    first empty field ends the test.
+    """
+    parts: list[IntervalSet] = []
+    for a, b in zip(region, box):
+        if a.max() < b.min() or b.max() < a.min():
+            return None
+        common = a & b
+        if not common:
+            return None
+        parts.append(common)
+    return tuple(parts)
+
+
 def _subtract_box(
     regions: list[tuple[IntervalSet, ...]], box: tuple[IntervalSet, ...]
 ) -> list[tuple[IntervalSet, ...]]:
     """Subtract one box from a list of boxes (standard peeling)."""
     out: list[tuple[IntervalSet, ...]] = []
     for region in regions:
-        overlap = tuple(a & b for a, b in zip(region, box))
-        if any(o.is_empty() for o in overlap):
+        overlap = _overlap(region, box)
+        if overlap is None:
             out.append(region)
             continue
         remainder = list(region)

@@ -169,8 +169,8 @@ def corrected_fdd(
     disjoint, so the order of the prepends does not matter.
     """
     store = NodeStore()
-    fdd_a = store.construct(fw_a)
-    difference = build_difference(fdd_a, store.construct(fw_b), store=store)
+    fdd_a = store.build(fw_a)
+    difference = build_difference(fdd_a, store.build(fw_b), store=store)
     regions = [resolution.discrepancy.sets for resolution in resolutions]
     for cell in difference.discrepancies():
         leftover = _uncovered(cell.sets, regions)

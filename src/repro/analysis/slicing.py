@@ -46,7 +46,7 @@ def slice_firewall(
     True
     """
     store = NodeStore()
-    fdd = firewall if isinstance(firewall, FDD) else store.construct(firewall)
+    fdd = firewall if isinstance(firewall, FDD) else store.build(firewall)
     if region.schema != fdd.schema:
         raise QueryError("slice region must use the firewall's field schema")
     outside_terminal = store.terminal(outside)

@@ -8,7 +8,8 @@ applies it via :func:`prepare_task` *before* executing the shard, by
 arming a per-process :class:`~repro.guard.FaultInjector` whose exception
 factory performs the fault when the armed guard site is reached
 (mid-construction, guaranteed: every shard keeps at least one rule, and
-the ``fast.rule`` site fires once per rule).
+the ``fast.rule`` site fires once per partition subproblem of the
+construction, at least once per field).
 
 Actions are addressed by ``(shard_index, attempt)`` through a
 :class:`ChaosPlan`, so a scenario can fault attempt 0 and let the retry
@@ -33,9 +34,10 @@ from repro.guard.fault import FaultInjector
 
 __all__ = ["ChaosAction", "ChaosPlan", "prepare_task"]
 
-#: The guard site chaos actions arm by default: visited once per rule
-#: during a worker's FDD construction, so ``after=1`` lands the fault
-#: mid-shard (after the first rule, before the last).
+#: The guard site chaos actions arm by default: visited once per
+#: partition subproblem during a worker's FDD construction, so
+#: ``after=1`` lands the fault mid-piece (after the first subproblem,
+#: before the last).
 DEFAULT_SITE = "fast.rule"
 
 

@@ -11,8 +11,9 @@ firewalls, Fig. 13):
 * **Hash-consed construction** (:func:`construct_fdd_fast`): nodes are
   interned by structural signature in a :class:`~repro.fdd.store.NodeStore`,
   so the "subgraph replication" of the construction algorithm becomes
-  sharing, and appending a rule is memoized per (node, rule) — identical
-  shared subtrees are processed once instead of once per path.
+  sharing.  The diagram is built top-down by partition construction
+  (:mod:`repro.fdd.partition`), one subproblem per (field, live rules),
+  instead of appending the rules one at a time.
 * **Product comparison** (:func:`compare_fast`): instead of materializing
   two semi-isomorphic trees, the two DAGs are walked simultaneously with
   memoization on node pairs (:func:`repro.fdd.passes.product_fold`),
@@ -65,17 +66,19 @@ def construct_fdd_fast(
 ) -> FDD:
     """Equivalent of :func:`repro.fdd.construction.construct_fdd`, shared.
 
-    Appends rules functionally in a :class:`~repro.fdd.store.NodeStore`:
-    appending returns a new interned node and is memoized on the node it
-    appends to, so shared subtrees — which the tree algorithm would copy
-    and re-walk once per path — are processed once.  The result is a
+    Builds the diagram by partition construction
+    (:meth:`~repro.fdd.store.NodeStore.build`): each field's domain is
+    cut at the boundaries of the rules still live on the path, so no
+    per-rule intermediate diagram is allocated.  The result is a
     maximally-shared ordered FDD that the rest of the library
     (evaluation, validation, reduction, generation, the reference
     shaping) accepts unchanged.  Because every node is interned, the
     output is already *reduced*: it is the canonical reduced ordered FDD
-    of the policy (see :mod:`repro.fdd.canonical`).
+    of the policy (see :mod:`repro.fdd.canonical`), the very diagram the
+    rule-by-rule fold (:meth:`~repro.fdd.store.NodeStore.construct`)
+    builds.
     """
-    return (store or NodeStore()).construct(firewall, guard=guard)
+    return (store or NodeStore()).build(firewall, guard=guard)
 
 
 @dataclass

@@ -46,6 +46,7 @@ from repro.policy.decision import Decision
 from repro.policy.firewall import Firewall
 from repro.fdd.fdd import FDD
 from repro.fdd.node import Edge, InternalNode, Node, TerminalNode
+from repro.fdd.partition import build as _partition_build
 
 __all__ = ["NodeStore", "PAIRWISE_MEMO_LIMIT", "APPEND_MEMO_LIMIT"]
 
@@ -106,7 +107,8 @@ class NodeStore:
 
     On top of the tables the store offers the shared node algebra:
     :meth:`chain` / :meth:`append` / :meth:`construct` (functional rule
-    appending — the fast construction engine), :meth:`intern` (recursive
+    appending, the paper's Fig. 7 fold), :meth:`build` (the same diagram
+    by partition construction), :meth:`intern` (recursive
     interning of an external diagram — reduction), and
     :meth:`map_terminals` (memoized terminal relabelling).  The product
     caches (:attr:`pair_table` / :attr:`pair_memo`) are used by
@@ -484,6 +486,21 @@ class NodeStore:
                 root, rule.predicate.sets, rule.decision, guard=guard
             )
         return FDD(firewall.schema, root)
+
+    def build(
+        self, firewall: Firewall, *, guard: GuardContext | None = None
+    ) -> FDD:
+        """The diagram :meth:`construct` builds, without its per-rule
+        intermediate diagrams.
+
+        Partition construction (:mod:`repro.fdd.partition`): each field's
+        domain is cut at the boundaries of the rules still live on the
+        path, top-down, with subproblems memoized for the call.  In one
+        store the root *is* the root :meth:`construct` returns.  ``guard``
+        ticks one node per partition visit and checkpoints ``fast.rule``
+        once per subproblem.
+        """
+        return _partition_build(self, firewall, guard=guard)
 
     def intern(self, root: Node) -> Node:
         """Intern an external diagram: the maximally-shared equal subgraph.

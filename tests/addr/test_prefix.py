@@ -110,6 +110,37 @@ class TestFormatIpSet:
     def test_empty(self):
         assert format_ip_set(IntervalSet.empty()) == "none"
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=IPV4_MAX),
+                st.integers(min_value=0, max_value=IPV4_MAX),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.booleans(),
+    )
+    def test_picks_the_cover_both_full_covers_pick(self, spans, invert):
+        """The complement's cover stops early; the choice it makes is the
+        one comparing both complete covers makes."""
+        values = IntervalSet(Interval(min(span), max(span)) for span in spans)
+        if invert:
+            values = IntervalSet.span(0, IPV4_MAX) - values
+        if values.is_empty() or values == IntervalSet.span(0, IPV4_MAX):
+            return
+        direct = intervalset_to_prefixes(values)
+        inverse = intervalset_to_prefixes(IntervalSet.span(0, IPV4_MAX) - values)
+
+        def render(prefixes):  # hosts print as bare addresses
+            return ", ".join(str(p).removesuffix("/32") for p in prefixes)
+
+        if len(inverse) + 1 < len(direct):
+            expected = "all except " + render(inverse)
+        else:
+            expected = render(direct)
+        assert format_ip_set(values) == expected
+
     def test_intervalset_to_prefixes_concatenates(self):
         s = IntervalSet.of((0, 255), (512, 767))
         assert len(intervalset_to_prefixes(s)) == 2

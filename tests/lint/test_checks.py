@@ -61,6 +61,35 @@ class TestCumulativeShadowing:
         # The witness really is decided differently by an earlier rule.
         assert cumulative.evaluate(fact.witness) == ACCEPT
 
+    def test_detail_over_a_fragmented_residual(self):
+        """Two fields: the first rule punches a hole in the last rule's
+        box, so the sweep peels a residual of several multi-interval
+        fragments.  Rule 2 lies inside the hole (bounds meet on F1 but
+        not F2) and is no contributor (it is shadowed itself); the first
+        conflict lands in a fragment, not at the box's corner."""
+        schema = toy_schema(9, 9)
+        fw = Firewall(
+            schema,
+            [
+                Rule.build(schema, DISCARD, F1=(2, 5), F2=(2, 5)),
+                Rule.build(schema, DISCARD, F2=(0, 1)),
+                Rule.build(schema, ACCEPT, F1=3, F2=3),
+                Rule.build(schema, ACCEPT, F1=(7, 8), F2=(7, 8)),
+                Rule.build(schema, ACCEPT, F2=(6, 9)),
+                Rule.build(schema, DISCARD, F1=(0, 1)),
+                Rule.build(schema, ACCEPT, F1=(6, 9)),
+                Rule.build(schema, DISCARD),
+            ],
+        )
+        fact = effective_rules(fw).rules[7]
+        assert fact.shadowed and not fact.effective
+        assert fact.conflicting == (3, 4, 6)
+        assert fact.witness == (7, 7)
+        assert fw.evaluate(fact.witness) == ACCEPT
+        shadowed = run_lint(fw).by_code("FW001")
+        assert [d.rule_index for d in shadowed] == [2, 7]
+        assert shadowed[1].related == (3, 4, 6)
+
 
 class TestDeadAndUnreachable:
     def test_same_decision_cover_is_unreachable_not_shadowed(self):
