@@ -171,31 +171,36 @@ def format_ip_set(values: IntervalSet, domain_max: int = IPV4_MAX) -> str:
         only = values.intervals[0]
         if only.lo == 0 and only.hi == domain_max:
             return "all"
-    direct = _set_blocks(values)
     # Sets like "everything but the malicious /16" cover the domain minus a
     # few blocks; their direct prefix cover is long (up to 2w-2 pieces per
     # hole) while the complement is short.  Render whichever reads better:
-    # the complement only when it is at least two blocks shorter, so its
-    # cover stops as soon as it reaches ``len(direct) - 1`` blocks.
-    limit = len(direct) - 1
-    if limit > 1:
+    # the complement only when its cover is at least two blocks shorter.
+    # The two covers grow in step, so neither is built past the point
+    # where the other has won.
+    direct_blocks = _set_blocks(values)
+    direct = list(islice(direct_blocks, 3))
+    if len(direct) == 3:
         complement = IntervalSet.span(0, domain_max) - values
-        inverse = _set_blocks(complement, limit)
-        if len(inverse) < limit:
+        inverse: list[tuple[int, int]] = []
+        for block in _set_blocks(complement):
+            inverse.append(block)
+            if len(direct) < len(inverse) + 2:
+                more = next(direct_blocks, None)
+                if more is None:
+                    break  # direct cover complete: the complement lost
+                direct.append(more)
+        else:
+            # The complement's cover is complete and two blocks shorter
+            # than the direct cover's part built so far.
             rendered = ", ".join(_format_block(*block) for block in inverse)
             return f"all except {rendered}"
     return ", ".join(_format_block(*block) for block in direct)
 
 
-def _set_blocks(
-    values: IntervalSet, limit: int | None = None
-) -> list[tuple[int, int]]:
+def _set_blocks(values: IntervalSet) -> Iterator[tuple[int, int]]:
     """:func:`intervalset_to_prefixes` as ``(network, length)`` pairs,
-    cut off after ``limit`` blocks when a limit is given."""
-    blocks = (
-        block for iv in values.intervals for block in _blocks(iv, IPV4_BITS)
-    )
-    return list(islice(blocks, limit))
+    one block at a time."""
+    return (block for iv in values.intervals for block in _blocks(iv, IPV4_BITS))
 
 
 def _format_block(network: int, length: int) -> str:

@@ -19,9 +19,9 @@ The strata, drawn via :class:`repro.synth.traces.BoundaryTraceGenerator`:
 * **uniform** — unbiased draws over the whole universe, so huge
   discrepancy regions far from any boundary are still likely sampled.
 
-The result is explicitly second-class and says so: the report is flagged
-``approximate=True`` and carries a ``coverage`` estimate (the fraction of
-the packet universe actually evaluated — honest and usually tiny).  An
+The result is explicitly second-class and says so: the report carries a
+``coverage`` estimate (the fraction of the packet universe actually
+evaluated — honest and usually tiny).  An
 empty approximate report does **not** prove equivalence; see
 ``docs/robustness.md`` for the exact semantics and the CLI exit codes.
 """
@@ -51,8 +51,8 @@ def approximate_compare(
     Draws ``samples`` packets from the three strata described in the
     module docstring (40% boundary-of-A, 40% boundary-of-B, 20% uniform),
     evaluates both rule lists on each, and returns the disagreeing
-    packets as single-packet :class:`Discrepancy` cells in a report
-    flagged ``approximate=True``.  Deterministic for a given ``seed``.
+    packets as single-packet :class:`Discrepancy` cells with the
+    sample's coverage.  Deterministic for a given ``seed``.
 
     Cost is ``O(samples * (|a| + |b|))`` — bounded by construction, no
     budget needed.  A ``guard`` is honoured anyway (one node tick per
@@ -65,8 +65,8 @@ def approximate_compare(
     >>> fb = Firewall(schema, [Rule.build(schema, DISCARD, F1=(0, 4)),
     ...                        Rule.build(schema, ACCEPT)])
     >>> report = approximate_compare(fa, fb, samples=200, seed=1)
-    >>> report.approximate, len(report.discrepancies) > 0
-    (True, True)
+    >>> report.coverage, len(report.discrepancies)  # a 10-packet universe
+    (1.0, 5)
     """
     if fw_a.schema != fw_b.schema:
         raise SchemaError("cannot compare firewalls over different field schemas")
@@ -104,7 +104,6 @@ def approximate_compare(
     coverage = min(1.0, len(seen) / schema.universe_size())
     return ComparisonReport(
         discrepancies=tuple(disagreements),
-        approximate=True,
         coverage=coverage,
         sampled_packets=len(seen),
     )

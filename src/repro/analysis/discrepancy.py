@@ -86,35 +86,20 @@ class Discrepancy:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """The outcome of a (possibly budget-guarded) firewall comparison.
+    """The sampled result of :func:`repro.analysis.approximate.approximate_compare`.
 
-    Wraps the discrepancy list with provenance the bare list cannot
-    carry: whether the result is **exact** (the paper's complete
-    comparison — an empty list proves equivalence) or **approximate**
-    (the degraded sampling mode of :mod:`repro.analysis.approximate`,
-    entered when the exact pipeline exhausted its budget — an empty list
-    proves nothing), and how much of the packet universe the verdict
-    covers.
+    The degraded mode a budget-exhausted comparison falls back to: every
+    cell is a real single-packet disagreement, but the sample covers only
+    ``coverage`` of the packet universe, so an empty report proves
+    nothing (docs/robustness.md).
     """
 
-    #: The discrepancies found (exhaustive when ``approximate`` is False,
-    #: a sampled subset of single-packet cells otherwise).
+    #: The disagreeing packets found, one single-packet cell each.
     discrepancies: tuple[Discrepancy, ...]
-    #: True when the exact pipeline was abandoned for sampling.
-    approximate: bool = False
-    #: Fraction of the packet universe the verdict covers: 1.0 for exact
-    #: runs, the (usually tiny) sampled fraction for approximate runs.
-    coverage: float = 1.0
-    #: Distinct packets evaluated by the sampler (0 for exact runs).
-    sampled_packets: int = 0
-
-    def proves_equivalence(self) -> bool:
-        """True only for an exact run that found no discrepancies.
-
-        An empty *approximate* report is merely "no disagreement found in
-        the sample" — it never proves equivalence.
-        """
-        return not self.approximate and not self.discrepancies
+    #: Fraction of the packet universe the sample covers (usually tiny).
+    coverage: float
+    #: Distinct packets evaluated by the sampler.
+    sampled_packets: int
 
 
 def label_formatter(schema: FieldSchema) -> Callable[[int, IntervalSet], str]:

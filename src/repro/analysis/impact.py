@@ -24,9 +24,19 @@ from repro.analysis.discrepancy import (
     label_formatter,
 )
 from repro.fdd.fast import compare_fast
+from repro.guard.context import GuardContext
 from repro.policy.firewall import Firewall
 
 __all__ = ["ImpactKind", "ChangeImpactReport", "analyze_change"]
+
+#: Partition visits, both sides together, that a ``jobs > 1`` comparison
+#: builds serially before it starts a worker pool.  A pair whose two
+#: builds finish below it is compared in this process.  The value is
+#: the pool's fixed first-call cost divided by the fastest partition
+#: visit, both measured on the same machine (docs/performance.md,
+#: "When --jobs stays serial"), so below it the serial build costs
+#: less than starting the pool alone.
+FANOUT_MIN_VISITS = 40_000
 
 
 class ImpactKind:
@@ -118,6 +128,39 @@ class ChangeImpactReport:
         )
 
 
+class _FanOut(Exception):
+    """The serial build reached :data:`FANOUT_MIN_VISITS`."""
+
+
+class _FanoutProbe(GuardContext):
+    """The guard a ``jobs > 1`` comparison builds both sides under.
+
+    Partition construction calls only :meth:`tick_nodes` and
+    :meth:`checkpoint`.  Both go to the caller's guard first, so a
+    ``--max-nodes`` or ``--deadline`` keeps its meaning (and wins a tie);
+    the probe itself only counts partition visits and raises
+    :class:`_FanOut` when they reach :data:`FANOUT_MIN_VISITS`.  The
+    route therefore depends on the pair's visits alone, never on time.
+    """
+
+    __slots__ = ("outer",)
+
+    def __init__(self, outer: GuardContext | None):
+        super().__init__()
+        self.outer = outer
+
+    def tick_nodes(self, count: int = 1) -> None:
+        if self.outer is not None:
+            self.outer.tick_nodes(count)
+        self.nodes_expanded += count
+        if self.nodes_expanded >= FANOUT_MIN_VISITS:
+            raise _FanOut
+
+    def checkpoint(self, site: str) -> None:
+        if self.outer is not None:
+            self.outer.checkpoint(site)
+
+
 def analyze_change(
     before: Firewall,
     after: Firewall,
@@ -129,11 +172,14 @@ def analyze_change(
     """Compute the impact of changing ``before`` into ``after``.
 
     The comparison runs on the hash-consed difference diagram
-    (:func:`repro.fdd.fast.compare_fast`); ``jobs > 1`` shards it across
-    worker processes via :func:`repro.parallel.compare_parallel`
-    (identical cells, merged).  ``aggregate=False`` keeps the raw cells.
-    The tests cross-validate the report against the paper-literal
-    construct/shape/compare pipeline.
+    (:func:`repro.fdd.fast.compare_fast`).  ``jobs > 1`` builds both
+    sides the same way, under a probe: a pair that needs
+    :data:`FANOUT_MIN_VISITS` partition visits or more is instead
+    sharded across worker processes via
+    :func:`repro.parallel.compare_parallel` (identical cells, merged),
+    with whatever budget the probe left ``guard``.  ``aggregate=False``
+    keeps the raw cells.  The tests cross-validate the report against
+    the paper-literal construct/shape/compare pipeline.
 
     >>> from repro.fields import toy_schema
     >>> from repro.policy import Firewall, Rule, ACCEPT, DISCARD
@@ -145,7 +191,15 @@ def analyze_change(
     (False, 1)
     """
     degradations: list[dict] = []
-    if jobs is not None and jobs > 1:
+    fan_out = jobs is not None and jobs > 1
+    try:
+        diff = compare_fast(
+            before,
+            after,
+            guard=guard,
+            build_guard=_FanoutProbe(guard) if fan_out else None,
+        )
+    except _FanOut:
         from repro.parallel import compare_parallel
 
         par = compare_parallel(
@@ -158,7 +212,7 @@ def analyze_change(
         raw = list(par.discrepancies)
         degradations = par.degradation_report()
     else:
-        raw = compare_fast(before, after, guard=guard).discrepancies(guard=guard)
+        raw = diff.discrepancies(guard=guard)
     discs = aggregate_discrepancies(raw) if aggregate else raw
     return ChangeImpactReport(
         before=before, after=after, discrepancies=discs, degradations=degradations

@@ -30,7 +30,8 @@ commands compose into shell checks (e.g. CI gates on policy changes).
 ``--max-nodes N`` bound the run, and ``--approx-fallback`` degrades to
 sampling-based comparison instead of failing when the budget trips.
 The same three commands accept ``--jobs N`` to shard the comparison
-across worker processes (they all run the same comparison underneath).
+across worker processes (they all run the same comparison underneath);
+a pair too small to repay the workers' start-up is compared serially.
 Exit codes:
 
 * ``0`` — success (no discrepancies / equivalent / no-op change);
@@ -131,7 +132,9 @@ def _add_jobs_option(sub) -> None:
         metavar="N",
         help=(
             "shard the comparison across N worker processes"
-            " (1 = serial, in this process)"
+            " (1 = serial, in this process); a pair whose two policies"
+            " build in fewer partition visits than starting the workers"
+            " would cost stays serial, with the serial output"
         ),
     )
 

@@ -282,7 +282,11 @@ class _PairNode:
 
 
 def compare_fast(
-    fw_a: Firewall, fw_b: Firewall, *, guard: GuardContext | None = None
+    fw_a: Firewall,
+    fw_b: Firewall,
+    *,
+    guard: GuardContext | None = None,
+    build_guard: GuardContext | None = None,
 ) -> DifferenceFDD:
     """Build the difference FDD of two firewalls (scalable comparison).
 
@@ -290,7 +294,10 @@ def compare_fast(
     walk memoized on node pairs (:func:`build_difference`).  Where the
     reference pipeline's shaping phase replicates subtrees to align the
     two diagrams, the product walk computes the same aligned partition
-    lazily and shares every repeated sub-product.
+    lazily and shares every repeated sub-product.  ``build_guard``, when
+    given, guards the two constructions in place of ``guard`` (the
+    ``jobs > 1`` route of :func:`repro.analysis.impact.analyze_change`
+    builds under a probe that forwards to ``guard``).
 
     >>> from repro.fields import toy_schema
     >>> from repro.policy import Firewall, Rule, ACCEPT, DISCARD
@@ -304,9 +311,11 @@ def compare_fast(
     if fw_a.schema != fw_b.schema:
         raise SchemaError("cannot compare firewalls over different field schemas")
     store = NodeStore()
+    if build_guard is None:
+        build_guard = guard
     return build_difference(
-        construct_fdd_fast(fw_a, store, guard=guard),
-        construct_fdd_fast(fw_b, store, guard=guard),
+        construct_fdd_fast(fw_a, store, guard=build_guard),
+        construct_fdd_fast(fw_b, store, guard=build_guard),
         guard=guard,
         store=store,
     )

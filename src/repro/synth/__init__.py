@@ -9,6 +9,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "GeneratorConfig",
             "SyntheticFirewallGenerator",
             "generate_firewall_pair",
+            "uniform_interval_firewall",
         ),
         "repro.synth.perturb": ("PerturbationRecord", "flip_decision", "perturb"),
         "repro.synth.traces": ("BoundaryTraceGenerator", "FlowTraceGenerator", "TimedPacket"),

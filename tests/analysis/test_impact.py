@@ -1,11 +1,14 @@
 """Tests for change impact analysis (Sections 1.3 / 8.1)."""
 
+import pytest
 from hypothesis import given, settings
 
-from repro.analysis import ImpactKind, analyze_change
+from repro.analysis import ImpactKind, analyze_change, impact
+from repro.fdd.store import NodeStore
 from repro.fields import enumerate_universe, toy_schema
+from repro.guard import Budget, GuardContext
 from repro.policy import ACCEPT, ACCEPT_LOG, DISCARD, Firewall, Rule
-from repro.synth import flip_decision
+from repro.synth import flip_decision, uniform_interval_firewall
 
 from tests.conftest import firewalls
 
@@ -81,3 +84,63 @@ class TestProperties:
         )
         assert report.affected_packets() == expected
         assert report.is_noop == (expected == 0)
+
+
+class TestFanOutRoute:
+    """``jobs > 1`` shards a pair only once its serial build reaches
+    ``FANOUT_MIN_VISITS`` partition visits; below that it is compared in
+    process, with the serial report."""
+
+    PAIR = (uniform_interval_firewall(6, seed=1), uniform_interval_firewall(6, seed=2))
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Records each call that reaches ``compare_parallel`` (its
+        keyword arguments), and runs it in process."""
+        import repro.parallel as parallel_pkg
+
+        real = parallel_pkg.compare_parallel
+        calls: list[dict] = []
+
+        def recording(fw_a, fw_b, **kwargs):
+            calls.append(dict(kwargs))
+            return real(fw_a, fw_b, **{**kwargs, "jobs": 1})
+
+        monkeypatch.setattr(parallel_pkg, "compare_parallel", recording)
+        return calls
+
+    def visits(self) -> int:
+        guard = GuardContext(Budget.unlimited())
+        store = NodeStore()
+        for firewall in self.PAIR:
+            store.build(firewall, guard=guard)
+        return guard.nodes_expanded
+
+    def test_route_is_a_function_of_visits(self, pooled, monkeypatch):
+        visits = self.visits()
+        serial = analyze_change(*self.PAIR)
+        for crossover, sharded in ((visits, True), (visits + 1, False)):
+            monkeypatch.setattr(impact, "FANOUT_MIN_VISITS", crossover)
+            for _ in range(3):
+                pooled.clear()
+                report = analyze_change(*self.PAIR, jobs=2)
+                assert len(pooled) == int(sharded)
+                assert report.affected_packets() == serial.affected_packets()
+                if not sharded:
+                    assert report.discrepancies == serial.discrepancies
+
+    def test_probe_spend_counts_against_the_guard(self, pooled, monkeypatch):
+        monkeypatch.setattr(impact, "FANOUT_MIN_VISITS", 50)
+        guard = GuardContext(Budget(max_nodes=1_000_000))
+        analyze_change(*self.PAIR, jobs=2, guard=guard)
+        assert [call["budget"].max_nodes for call in pooled] == [1_000_000 - 50]
+
+    def test_user_budget_wins_a_tie(self, pooled, monkeypatch):
+        from repro.exceptions import BudgetExceededError
+
+        monkeypatch.setattr(impact, "FANOUT_MIN_VISITS", 50)
+        with pytest.raises(BudgetExceededError):
+            analyze_change(
+                *self.PAIR, jobs=2, guard=GuardContext(Budget(max_nodes=49))
+            )
+        assert pooled == []

@@ -211,8 +211,14 @@ class TestDegradedExitCode:
         return str(path_a), str(path_b)
 
     def _degrade_every_shard(self, monkeypatch):
-        """Make every supervised dispatch fail so each shard degrades."""
+        """Make every supervised dispatch fail so each shard degrades.
+
+        The team pair builds far below ``FANOUT_MIN_VISITS``; a crossover
+        of 0 sends it to the pool anyway."""
         import repro.parallel as parallel_pkg
+        from repro.analysis import impact
+
+        monkeypatch.setattr(impact, "FANOUT_MIN_VISITS", 0)
 
         real = parallel_pkg.compare_parallel
 

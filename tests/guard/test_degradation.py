@@ -9,6 +9,7 @@ guard under test.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.fields import standard_schema
 from repro.guard import Budget, GuardContext
 from repro.intervals import Interval, IntervalSet
 from repro.policy import ACCEPT, DISCARD, Firewall, Predicate, Rule, dump
-from repro.synth import team_a_firewall, team_b_firewall
+from repro.synth import team_a_firewall, team_b_firewall, uniform_interval_firewall
 
 
 def explosive_pair() -> tuple[Firewall, Firewall]:
@@ -86,7 +87,6 @@ class TestApproximateCompare:
         report = approximate_compare(
             team_a_firewall(), team_b_firewall(), samples=500, seed=3
         )
-        assert report.approximate
         assert 0.0 < report.coverage < 1.0
         assert report.sampled_packets > 0
         # Every reported cell is a genuine single-packet disagreement.
@@ -108,7 +108,8 @@ class TestApproximateCompare:
         fw = team_a_firewall()
         report = approximate_compare(fw, fw, samples=50)
         assert not report.discrepancies
-        assert not report.proves_equivalence()
+        assert 0 < report.sampled_packets <= 50
+        assert report.coverage < 1.0
 
 
 class TestCompareWithFallback:
@@ -167,12 +168,17 @@ class TestExplosiveInputsTerminate:
             assert result["error"].resource in ("deadline", "fdd-nodes")
 
     def test_fallback_returns_flagged_report(self, tmp_path, capsys):
+        # explosive_pair() explodes only the tree engine; the store
+        # compares it exactly in well under a second.  An 80-rule pair of
+        # uniform random intervals is the input the store cannot finish
+        # under a 2-second deadline, so the sampling fallback runs.
         paths = [str(tmp_path / "a.fw"), str(tmp_path / "b.fw")]
-        for firewall, path in zip(explosive_pair(), paths):
-            dump(firewall, path, schema_key="standard")
+        for seed, path in zip((1, 2), paths):
+            dump(uniform_interval_firewall(80, seed=seed), path, schema_key="standard")
 
         def attempt():
-            return main(
+            start = time.monotonic()
+            code = main(
                 [
                     "compare",
                     "--raw",
@@ -182,15 +188,18 @@ class TestExplosiveInputsTerminate:
                     "--approx-fallback",
                 ]
             )
+            return code, time.monotonic() - start
 
         result = run_with_watchdog(attempt, timeout_s=30.0)
         assert "error" not in result, f"fallback raised: {result.get('error')!r}"
+        code, elapsed = result["value"]
         out = capsys.readouterr().out
-        # Exit 4 flags the sampled report; 1 would mean the exact run
-        # finished within its deadline.
-        assert result["value"] in (1, 4)
-        if result["value"] == 4:
-            assert "(approximate: sampled, coverage ~" in out
+        # Exit 4 flags the sampled report: the exact run did not finish.
+        assert code == 4
+        assert "(approximate: sampled, coverage ~" in out
+        # The trip and the sampled report land within 5 s of the deadline
+        # (about 0.5 s on a 2-vCPU machine).
+        assert elapsed < 2.0 + 5.0, elapsed
         # The two policies genuinely differ, and direct evaluation is
         # cheap, so sampling should surface at least one witness.
         assert "functional discrepancy region(s)" in out

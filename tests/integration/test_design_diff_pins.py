@@ -73,21 +73,30 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+COMPARE_SHA256 = "decc23a679a3090382d63a78de36d2c6c0c801b0972350082bab52078faf113d"
+IMPACT_SHA256 = "c89351b271319f0e3daade0dc7d7739ccd32b0c1680dd2caa99857a2898075f7"
+
+
 class TestComparisonStdout:
     def test_compare(self, pair):
         code, out, _ = _run(["compare", "a.fw", "b.fw"], pair[0])
         assert code == 1
         assert out.startswith("421 functional discrepancy region(s)")
-        assert _sha256(out) == (
-            "decc23a679a3090382d63a78de36d2c6c0c801b0972350082bab52078faf113d"
-        )
+        assert _sha256(out) == COMPARE_SHA256
 
     def test_impact(self, pair):
         code, out, _ = _run(["impact", "a.fw", "b.fw"], pair[0])
         assert code == 1
-        assert _sha256(out) == (
-            "c89351b271319f0e3daade0dc7d7739ccd32b0c1680dd2caa99857a2898075f7"
-        )
+        assert _sha256(out) == IMPACT_SHA256
+
+    @pytest.mark.parametrize(
+        "command, digest", [("compare", COMPARE_SHA256), ("impact", IMPACT_SHA256)]
+    )
+    def test_jobs_2_prints_the_serial_bytes(self, pair, command, digest):
+        # The pair builds below FANOUT_MIN_VISITS, so --jobs 2 stays serial.
+        code, out, _ = _run([command, "--jobs", "2", "a.fw", "b.fw"], pair[0])
+        assert code == 1
+        assert _sha256(out) == digest
 
 
 class TestQueryBatchStdout:

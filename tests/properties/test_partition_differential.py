@@ -23,13 +23,18 @@ from hypothesis import strategies as st
 
 from repro.classify import compile_fdd
 from repro.exceptions import BudgetExceededError
-from repro.fields import standard_schema, toy_schema
+from repro.fields import toy_schema
 from repro.guard import Budget, GuardContext
 from repro.intervals import IntervalSet
 from repro.parallel.engine import restrict_to_shard
-from repro.policy import ACCEPT, DISCARD, Firewall, Predicate, Rule
+from repro.policy import Firewall
 from repro.fdd.store import NodeStore
-from repro.synth import SyntheticFirewallGenerator, generate_firewall_pair, perturb
+from repro.synth import (
+    SyntheticFirewallGenerator,
+    generate_firewall_pair,
+    perturb,
+    uniform_interval_firewall,
+)
 
 from tests.conftest import firewalls, interval_sets
 
@@ -48,21 +53,6 @@ def assert_routes_agree(firewall: Firewall, *, comprehensive: bool = True) -> No
         assert compile_fdd(NodeStore().build(firewall)) == compile_fdd(
             NodeStore().construct(firewall)
         )
-
-
-def uniform_interval_firewall(rules: int, seed: int) -> Firewall:
-    """One uniform random interval per standard field, random decisions,
-    and a catch-all at the end."""
-    rng = random.Random(seed)
-    schema = standard_schema()
-    body = []
-    for _ in range(rules):
-        sets = []
-        for fld in schema:
-            lo, hi = sorted(rng.randint(0, fld.max_value) for _ in range(2))
-            sets.append(IntervalSet.span(lo, hi))
-        body.append(Rule(Predicate(schema, sets), rng.choice([ACCEPT, DISCARD])))
-    return Firewall(schema, body + [Rule(Predicate.match_all(schema), DISCARD)])
 
 
 @st.composite

@@ -90,7 +90,16 @@ class TestEquivalent:
 
 
 class TestJobs:
-    """``--jobs N`` routes through the sharded parallel engine."""
+    """``--jobs N`` routes through the sharded parallel engine.
+
+    The team pair builds far below ``FANOUT_MIN_VISITS``, which would
+    keep it serial; a crossover of 0 sends it to the pool."""
+
+    @pytest.fixture(autouse=True)
+    def _fan_out(self, monkeypatch):
+        from repro.analysis import impact
+
+        monkeypatch.setattr(impact, "FANOUT_MIN_VISITS", 0)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -159,6 +168,31 @@ class TestJobs:
         # Sampling either finds a witness (1) or proves nothing (4).
         assert code in (1, 4)
         assert "sampling" in out
+
+
+class TestJobsBelowTheCrossover:
+    """A pair that builds below ``FANOUT_MIN_VISITS`` stays in process."""
+
+    @pytest.fixture(autouse=True)
+    def _no_pool(self, monkeypatch):
+        import repro.parallel as parallel_pkg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair below the crossover reached the pool")
+
+        monkeypatch.setattr(parallel_pkg, "compare_parallel", refuse)
+
+    @pytest.mark.parametrize("command", ["compare", "impact", "equivalent"])
+    def test_prints_what_the_serial_run_prints(self, command, policies, capsys):
+        serial_code = main([command, *policies])
+        serial = capsys.readouterr()
+        assert main([command, "--jobs", "2", *policies]) == serial_code == 1
+        assert capsys.readouterr() == serial
+
+    def test_max_nodes_still_exits_3(self, policies, capsys):
+        code = main(["equivalent", "--jobs", "2", "--max-nodes", "5", *policies])
+        assert code == 3
+        assert "FDD node budget exceeded: 6 > 5" in capsys.readouterr().err
 
 
 class TestQuery:

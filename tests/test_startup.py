@@ -21,8 +21,9 @@ import pytest
 
 import repro
 from repro.cli import _DIALECTS
-from repro.policy import dump, dialect_names
-from repro.synth import team_a_firewall, team_b_firewall
+from repro.intervals import IntervalSet
+from repro.policy import ACCEPT, DISCARD, Predicate, Rule, dump, dialect_names
+from repro.synth import team_a_firewall, team_b_firewall, uniform_interval_firewall
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
 
@@ -116,8 +117,28 @@ def test_exit_path_imports_no_pool(policies):
     assert _loaded(report["modules"], ["repro.parallel"]) == []
 
 
-def test_jobs_still_shuts_its_pools_down(policies):
+@pytest.fixture
+def hard_policies(tmp_path):
+    """A pair that builds above ``FANOUT_MIN_VISITS`` (about 67k partition
+    visits): a 40-rule policy of uniform random intervals, and the same
+    policy with one packet's decision flipped."""
+    before = uniform_interval_firewall(40, seed=1)
+    packet = (1, 2, 3, 4, 5)
+    flipped = DISCARD if before(packet) == ACCEPT else ACCEPT
+    one = Predicate(before.schema, [IntervalSet.single(value) for value in packet])
+    dump(before, tmp_path / "a.fw", schema_key="standard")
+    dump(before.prepend(Rule(one, flipped)), tmp_path / "b.fw", schema_key="standard")
+    return tmp_path
+
+
+def test_jobs_below_the_crossover_loads_no_pool(policies):
     report = _run(["impact", "--jobs", "2", "a.fw", "b.fw"], policies)
+    assert report["code"] == 1
+    assert _loaded(report["modules"], ["repro.parallel", "multiprocessing"]) == []
+
+
+def test_jobs_still_shuts_its_pools_down(hard_policies):
+    report = _run(["impact", "--jobs", "2", "a.fw", "b.fw"], hard_policies)
     assert report["code"] == 1
     assert "repro.parallel.pool" in report["modules"]
     assert report["pools"] == 0
