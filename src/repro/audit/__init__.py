@@ -15,8 +15,8 @@ makes the repeat runs cheap and the answers aggregated:
   lint — with an integrity digest per entry and a source-digest memo
   that lets warm runs skip FDD construction entirely;
 * :mod:`~repro.audit.pipeline` — the per-policy stage runner (lint,
-  baseline comparison, change impact) with serial and supervised
-  parallel execution;
+  simplify, baseline comparison, change impact), one policy after
+  another over one shared node store;
 * :mod:`~repro.audit.report` — streaming SARIF 2.1.0 / JSON / text
   aggregation.
 

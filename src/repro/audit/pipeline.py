@@ -31,13 +31,9 @@ for rendering (:mod:`repro.audit.report`) in both the cached and the
 computed path — cold and warm runs therefore report byte-identical
 diagnostics by construction.
 
-Execution is serial by default; ``jobs > 1`` fans uncached policies out
-through the supervised persistent worker pool
-(:func:`repro.parallel.supervise` leasing from
-:func:`repro.parallel.get_pool`, so repeated fleet audits in one
-process reuse live workers): worker crashes and hangs degrade to an
-in-parent serial re-run, recorded on the report (the CLI maps a
-degraded-but-correct audit to exit code 5).
+Policies run one after another in one process, sharing one node store
+(every interned diagram and product memo) and one memo of built
+baselines, so a fleet builds each distinct baseline once.
 Per-tenant guard budgets from the manifest bound each policy's audit; a
 policy that exhausts its tenant budget is reported ``over-budget`` with
 its partial guard spend, and the fleet continues.
@@ -47,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.analysis.impact import ImpactKind
 from repro.audit.cache import ResultCache
@@ -56,6 +52,9 @@ from repro.audit.manifest import FleetManifest, PolicyEntry
 from repro.exceptions import BudgetExceededError, ReproError
 from repro.guard.budget import Budget
 from repro.guard.context import GuardContext
+
+if TYPE_CHECKING:
+    from repro.fdd.store import NodeStore
 
 __all__ = [
     "AuditStats",
@@ -81,8 +80,8 @@ class AuditStats:
     over_budget: int = 0
     errors: int = 0
     #: FDD constructions performed fleet-wide (policy + baseline
-    #: diagrams, across the parent and every worker).  The warm-run
-    #: guarantee is exactly ``fdd_constructions == 0``.
+    #: diagrams).  The warm-run guarantee is exactly
+    #: ``fdd_constructions == 0``.
     fdd_constructions: int = 0
 
     def to_dict(self) -> dict[str, int]:
@@ -173,8 +172,6 @@ class FleetAuditReport:
     results: list[PolicyAuditResult]
     stats: AuditStats
     cache_stats: dict[str, int] | None = None
-    #: Supervised-pool degradations (JSON-safe), empty when serial/clean.
-    degradations: list[dict[str, Any]] = field(default_factory=list)
 
     def summary(self) -> dict[str, Any]:
         """Fleet-level rollup stamped into every output format."""
@@ -193,14 +190,13 @@ class FleetAuditReport:
             "diverged_policies": diverged,
             "over_budget": self.stats.over_budget,
             "errors": self.stats.errors,
-            "degraded_shards": len(self.degradations),
             "fully_cached": self.stats.fully_cached,
             "fdd_constructions": self.stats.fdd_constructions,
         }
 
 
 # ----------------------------------------------------------------------
-# Stage payload builders (the worker side)
+# Stage payload builders
 # ----------------------------------------------------------------------
 def _classify_pair(before: Any, after: Any) -> str:
     """Impact kind of a ``baseline -> policy`` decision change."""
@@ -294,173 +290,22 @@ def _impact_payload(compare_payload: dict[str, Any]) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Per-policy execution (runs in the parent serially, or in pool workers)
-# ----------------------------------------------------------------------
-def _execute_audit_task(
-    task: dict[str, Any],
-    *,
-    store: Any = None,
-    baseline_memo: dict[str, tuple[str, Any]] | None = None,
-    cache: "ResultCache | None" = None,
-) -> dict[str, Any]:
-    """Compute the stages in ``task["needs"]`` for one policy.
-
-    ``store``/``baseline_memo`` are serial-mode accelerators: a fleet-wide
-    node store shares every interned diagram and product memo, and the
-    baseline memo (source digest -> fingerprint + FDD) builds each
-    distinct baseline once for the whole fleet.  Workers run without
-    them (each task is self-contained and must pickle).
-
-    ``cache`` (serial mode only) enables a second cache consultation
-    for fingerprint-keyed stages once the policy's fingerprint has been
-    computed: a policy whose *source* changed but whose *semantics*
-    didn't — a reformat, a reorder — resolves its comparison from the
-    existing entry instead of re-walking the product.  Served stages
-    are listed in the outcome's ``cache_served``.
-
-    Never raises for per-policy problems: parse errors and budget
-    exhaustion come back as ``status: "error"`` / ``"over-budget"`` so
-    one bad policy cannot take the fleet down.
-    """
-    from repro.fdd.canonical import fingerprint_canonical
-    from repro.fdd.fast import build_difference
-    from repro.fdd.store import NodeStore
-    from repro.lint.engine import LintContext, run_lint
-    from repro.policy.parser import loads
-
-    checkset: CheckSet = task["checkset"]
-    needs = list(task["needs"])
-    budget_spec = task.get("budget")
-    guard = (
-        GuardContext(Budget(**budget_spec)) if budget_spec is not None else None
-    )
-    node_store = store if store is not None else NodeStore()
-    constructions = 0
-    fingerprint: str | None = task.get("fingerprint")
-    baseline_fingerprint: str | None = task.get("baseline_fingerprint")
-    payloads: dict[str, dict[str, Any]] = {}
-    cache_served: list[str] = []
-
-    def finish(status: str, detail: str = "") -> dict[str, Any]:
-        return {
-            "status": status,
-            "detail": detail,
-            "fingerprint": fingerprint,
-            "baseline_fingerprint": baseline_fingerprint,
-            "payloads": payloads,
-            "cache_served": cache_served,
-            "guard_spend": guard.progress() if guard is not None else {},
-            "fdd_constructions": constructions,
-        }
-
-    def stage_from_cache(stage: str) -> bool:
-        """Serve a fingerprint-keyed stage once both fingerprints exist."""
-        if cache is None or fingerprint is None or baseline_fingerprint is None:
-            return False
-        hit = cache.get(
-            ResultCache.key(
-                stage,
-                (fingerprint, baseline_fingerprint),
-                checkset.stage_id(stage),
-            )
-        )
-        if hit is None:
-            return False
-        payloads[stage] = hit.payload
-        cache_served.append(stage)
-        return True
-
-    try:
-        firewall = None
-        fdd = None
-        if fingerprint is None or any(
-            s in needs for s in ("lint", "simplify", "compare")
-        ):
-            firewall = loads(task["policy_text"]).with_name(task["name"])
-            fdd = node_store.construct(firewall, guard=guard)
-            constructions += 1
-            fingerprint = fingerprint_canonical(fdd)
-
-        if "lint" in needs:
-            assert firewall is not None and fdd is not None
-            context = LintContext(firewall, guard=guard, store=node_store, fdd=fdd)
-            report = run_lint(
-                firewall,
-                enable=list(checkset.lint_codes),
-                guard=guard,
-                context=context,
-            )
-            payloads["lint"] = _lint_payload(report, firewall)
-
-        if "simplify" in needs:
-            from repro.simplify import simplify_firewall
-
-            assert firewall is not None
-            payloads["simplify"] = simplify_firewall(
-                firewall, guard=guard
-            ).summary()
-
-        if "compare" in needs and not stage_from_cache("compare"):
-            assert fdd is not None
-            baseline_digest = task["baseline_digest"]
-            memo_hit = (
-                baseline_memo.get(baseline_digest)
-                if baseline_memo is not None
-                else None
-            )
-            if memo_hit is not None:
-                baseline_fingerprint, baseline_fdd = memo_hit
-            else:
-                baseline_fw = loads(task["baseline_text"]).with_name(
-                    task["baseline_name"]
-                )
-                baseline_fdd = node_store.construct(baseline_fw, guard=guard)
-                constructions += 1
-                baseline_fingerprint = fingerprint_canonical(baseline_fdd)
-                if baseline_memo is not None:
-                    baseline_memo[baseline_digest] = (
-                        baseline_fingerprint,
-                        baseline_fdd,
-                    )
-            # The baseline fingerprint may only now be known (first
-            # sighting of this baseline): one more cache chance before
-            # paying for the product walk.
-            if not stage_from_cache("compare"):
-                difference = build_difference(
-                    baseline_fdd, fdd, guard=guard, store=node_store
-                )
-                payloads["compare"] = _compare_payload(
-                    difference, guard=guard, sample_limit=task["sample_limit"]
-                )
-
-        if "impact" in needs and not stage_from_cache("impact"):
-            compare_payload = payloads.get("compare", task.get("compare_payload"))
-            assert compare_payload is not None
-            payloads["impact"] = _impact_payload(compare_payload)
-    except BudgetExceededError as exc:
-        return finish("over-budget", str(exc))
-    except ReproError as exc:
-        return finish("error", str(exc))
-    return finish("ok")
-
-
-def _audit_worker(task: dict[str, Any]) -> dict[str, Any]:
-    """Module-level supervised-pool worker (spawn-safe)."""
-    return _execute_audit_task(task)
-
-
-# ----------------------------------------------------------------------
-# Fleet orchestration (the parent side)
+# Fleet orchestration
 # ----------------------------------------------------------------------
 @dataclass
 class _Plan:
     """One policy's resolved work plan (cache consulted, needs known)."""
 
-    entry: PolicyEntry
     result: PolicyAuditResult
-    #: Worker task for the stages still to compute; ``None`` when the
-    #: policy resolved entirely from the cache (or failed to load).
-    task: dict[str, Any] | None = None
+    source_digest: str = ""
+    #: Stages still to compute; empty when the policy resolved entirely
+    #: from the cache (or failed to load).
+    needs: list[str] = field(default_factory=list)
+    policy_text: str = ""
+    budget: Budget | None = None
+    #: ``(text, file name, source digest)`` of the baseline, set only
+    #: when ``compare`` is still to compute.
+    baseline: tuple[str, str, str] | None = None
 
 
 def _stage_fingerprints(
@@ -483,12 +328,34 @@ def _stage_fingerprints(
     return (fingerprint, baseline_fingerprint)
 
 
+def _put_stage(
+    cache: ResultCache,
+    checkset: CheckSet,
+    plan: _Plan,
+    stage: str,
+    guard_spend: dict[str, int] | None = None,
+) -> None:
+    """Store ``plan``'s payload for ``stage`` under its content key."""
+    result = plan.result
+    fingerprints = _stage_fingerprints(
+        stage, plan.source_digest, result.fingerprint, result.baseline_fingerprint
+    )
+    stage_id = checkset.stage_id(stage)
+    cache.put(
+        ResultCache.key(stage, fingerprints, stage_id),
+        result.stages[stage],
+        kind=stage,
+        fingerprints=fingerprints,
+        checkset_id=stage_id,
+        guard_spend=guard_spend,
+    )
+
+
 def audit_fleet(
     manifest: FleetManifest,
     *,
     checkset: CheckSet | None = None,
     cache: ResultCache | None = None,
-    jobs: int = 1,
     sample_limit: int = DEFAULT_SAMPLE_LIMIT,
     on_result: Callable[[PolicyAuditResult], None] | None = None,
 ) -> FleetAuditReport:
@@ -496,10 +363,9 @@ def audit_fleet(
 
     ``cache`` enables the content-addressed result store (and its
     source-digest memo); without one every policy computes from scratch.
-    ``jobs > 1`` dispatches uncached policies through the supervised
-    pool.  ``on_result`` streams results to the caller as they resolve
-    (cached policies first, computed ones in completion order); the
-    returned report always lists results in manifest order.
+    ``on_result`` streams results to the caller as they resolve (cached
+    policies first, then computed ones); the returned report always
+    lists results in manifest order.
     """
     checkset = checkset if checkset is not None else resolve_checkset(None)
     stats = AuditStats()
@@ -523,61 +389,35 @@ def audit_fleet(
     for entry in manifest.entries:
         stats.policies += 1
         plans.append(
-            _plan_policy(
-                entry,
-                manifest,
-                checkset,
-                cache,
-                stats,
-                sample_limit,
-                read_baseline,
-            )
+            _plan_policy(entry, manifest, checkset, cache, stats, read_baseline)
         )
 
     # Tier-1 resolutions (and load failures) stream immediately.
-    pending = [plan for plan in plans if plan.task is not None]
+    pending = [plan for plan in plans if plan.needs]
     for plan in plans:
-        if plan.task is None:
-            if on_result is not None:
-                on_result(plan.result)
+        if not plan.needs and on_result is not None:
+            on_result(plan.result)
 
-    degradations: list[dict[str, Any]] = []
     if pending:
-        outcomes: list[dict[str, Any] | None]
-        if jobs > 1 and len(pending) > 1:
-            from repro.parallel.supervisor import supervise
+        from repro.fdd.store import NodeStore
 
-            raw, degraded, _failures = supervise(
-                _audit_worker, [plan.task for plan in pending], jobs=jobs
+        store = NodeStore()
+        baseline_memo: dict[str, tuple[str, Any]] = {}
+        for plan in pending:
+            _execute_audit_task(
+                plan,
+                checkset,
+                stats,
+                sample_limit=sample_limit,
+                store=store,
+                baseline_memo=baseline_memo,
+                cache=cache,
             )
-            outcomes = list(raw)
-            degradations = [
-                {
-                    "shard": d.shard_index,
-                    "policy": pending[d.shard_index].entry.name,
-                    "reason": d.reason,
-                    "retries": d.retries,
-                    "detail": d.detail,
-                }
-                for d in degraded
-            ]
-        else:
-            from repro.fdd.store import NodeStore
-
-            shared_store = NodeStore()
-            baseline_memo: dict[str, tuple[str, Any]] = {}
-            outcomes = [
-                _execute_audit_task(
-                    plan.task,
-                    store=shared_store,
-                    baseline_memo=baseline_memo,
-                    cache=cache,
-                )
-                for plan in pending
-            ]
-        for plan, outcome in zip(pending, outcomes):
-            assert outcome is not None and plan.task is not None
-            _absorb_outcome(plan, outcome, checkset, cache, stats)
+        # Cache writes follow every computation, so no policy of this
+        # run is served an entry another policy of this run computed.
+        for plan in pending:
+            if cache is not None:
+                _store_computed(plan, checkset, cache)
             if on_result is not None:
                 on_result(plan.result)
 
@@ -587,7 +427,6 @@ def audit_fleet(
         results=[plan.result for plan in plans],
         stats=stats,
         cache_stats=cache.stats() if cache is not None else None,
-        degradations=degradations,
     )
 
 
@@ -597,14 +436,13 @@ def _plan_policy(
     checkset: CheckSet,
     cache: ResultCache | None,
     stats: AuditStats,
-    sample_limit: int,
     read_baseline: Callable[[str], tuple[str, str] | None],
 ) -> _Plan:
     """Resolve one policy against the cache and plan its remaining work."""
     result = PolicyAuditResult(
         name=entry.name, path=entry.path, tenant=entry.tenant
     )
-    plan = _Plan(entry=entry, result=result)
+    plan = _Plan(result=result)
 
     try:
         data = Path(entry.path).read_bytes()
@@ -613,7 +451,7 @@ def _plan_policy(
         result.detail = f"cannot read policy: {exc}"
         stats.errors += 1
         return plan
-    source_digest = ResultCache.source_digest(data)
+    plan.source_digest = source_digest = ResultCache.source_digest(data)
 
     baseline_path = manifest.baseline_for(entry)
     compare_enabled = "compare" in checkset.stages and baseline_path is not None
@@ -669,24 +507,12 @@ def _plan_policy(
 
     needs = [stage for stage in enabled if stage not in result.stages]
     # ``impact`` derives from ``compare``: with a cached comparison it
-    # recomputes in-parent from that payload, no dispatch needed.
+    # recomputes here from that payload, without building a diagram.
     if needs == ["impact"] and "compare" in result.stages:
-        payload = _impact_payload(result.stages["compare"])
-        result.stages["impact"] = payload
+        result.stages["impact"] = _impact_payload(result.stages["compare"])
         result.cached["impact"] = False
         if cache is not None:
-            fingerprints = _stage_fingerprints(
-                "impact", source_digest, fingerprint, baseline_fingerprint
-            )
-            cache.put(
-                ResultCache.key(
-                    "impact", fingerprints, checkset.stage_id("impact")
-                ),
-                payload,
-                kind="impact",
-                fingerprints=fingerprints,
-                checkset_id=checkset.stage_id("impact"),
-            )
+            _put_stage(cache, checkset, plan, "impact")
         needs = []
 
     if not needs:
@@ -697,86 +523,159 @@ def _plan_policy(
         return plan
 
     stats.computed += 1
-    budget = manifest.budget_for(entry)
-    task: dict[str, Any] = {
-        "name": entry.name,
-        "policy_text": data.decode("utf-8"),
-        "source_digest": source_digest,
-        "needs": needs,
-        "checkset": checkset,
-        "sample_limit": sample_limit,
-        "fingerprint": fingerprint,
-        "baseline_fingerprint": baseline_fingerprint,
-        "budget": (
-            {"deadline_s": budget.deadline_s, "max_nodes": budget.max_nodes}
-            if budget is not None
-            else None
-        ),
-    }
+    plan.needs = needs
+    plan.policy_text = data.decode("utf-8")
+    plan.budget = manifest.budget_for(entry)
     if "compare" in needs:
-        assert baseline_path is not None and baseline_text is not None
-        task["baseline_text"] = baseline_text
-        task["baseline_name"] = Path(baseline_path).name
-        task["baseline_digest"] = baseline_digest
-    elif "impact" in needs and "compare" in result.stages:
-        task["compare_payload"] = result.stages["compare"]
-    plan.task = task
+        assert baseline_path and baseline_text is not None and baseline_digest
+        plan.baseline = (baseline_text, Path(baseline_path).name, baseline_digest)
     return plan
 
 
-def _absorb_outcome(
+def _execute_audit_task(
     plan: _Plan,
-    outcome: dict[str, Any],
     checkset: CheckSet,
-    cache: ResultCache | None,
     stats: AuditStats,
+    *,
+    sample_limit: int,
+    store: NodeStore,
+    baseline_memo: dict[str, tuple[str, Any]],
+    cache: ResultCache | None,
 ) -> None:
-    """Fold a worker outcome into the plan's result + cache + stats."""
-    result = plan.result
-    task = plan.task
-    assert task is not None
-    stats.fdd_constructions += outcome["fdd_constructions"]
-    result.guard_spend = outcome["guard_spend"]
-    result.fingerprint = outcome["fingerprint"] or result.fingerprint
-    result.baseline_fingerprint = (
-        outcome["baseline_fingerprint"] or result.baseline_fingerprint
-    )
-    if outcome["status"] != "ok":
-        result.status = outcome["status"]
-        result.detail = outcome["detail"]
-        if outcome["status"] == "over-budget":
-            stats.over_budget += 1
-        else:
-            stats.errors += 1
-        return
+    """Compute the stages in ``plan.needs`` into ``plan.result``.
 
-    fingerprint = outcome["fingerprint"]
-    baseline_fingerprint = outcome["baseline_fingerprint"]
-    served = set(outcome.get("cache_served", ()))
-    for stage, payload in outcome["payloads"].items():
-        result.stages[stage] = payload
-        result.cached[stage] = stage in served
-    if cache is None or fingerprint is None:
+    ``store`` is the fleet-wide node store, which shares every interned
+    diagram and product memo; ``baseline_memo`` (source digest ->
+    fingerprint + FDD) builds each distinct baseline once for the whole
+    fleet.
+
+    ``cache`` enables a second cache consultation for fingerprint-keyed
+    stages once the policy's fingerprint has been computed: a policy
+    whose *source* changed but whose *semantics* didn't — a reformat, a
+    reorder — resolves its comparison from the existing entry instead
+    of re-walking the product.  Nothing is written to the cache here
+    (:func:`_store_computed` does that).
+
+    Never raises for per-policy problems: parse errors and budget
+    exhaustion set ``status`` to ``"error"`` / ``"over-budget"`` and
+    keep none of the policy's fresh payloads, so one bad policy cannot
+    take the fleet down.
+    """
+    from repro.fdd.canonical import fingerprint_canonical
+    from repro.fdd.fast import build_difference
+    from repro.lint.engine import LintContext, run_lint
+    from repro.policy.parser import loads
+
+    result = plan.result
+    needs = plan.needs
+    guard = GuardContext(plan.budget) if plan.budget is not None else None
+    payloads: dict[str, dict[str, Any]] = {}
+    served: set[str] = set()
+
+    def stage_from_cache(stage: str) -> bool:
+        """Serve a fingerprint-keyed stage once both fingerprints exist."""
+        if (
+            cache is None
+            or result.fingerprint is None
+            or result.baseline_fingerprint is None
+        ):
+            return False
+        hit = cache.get(
+            ResultCache.key(
+                stage,
+                (result.fingerprint, result.baseline_fingerprint),
+                checkset.stage_id(stage),
+            )
+        )
+        if hit is None:
+            return False
+        payloads[stage] = hit.payload
+        served.add(stage)
+        return True
+
+    try:
+        firewall = None
+        fdd = None
+        if result.fingerprint is None or any(
+            s in needs for s in ("lint", "simplify", "compare")
+        ):
+            firewall = loads(plan.policy_text).with_name(result.name)
+            fdd = store.construct(firewall, guard=guard)
+            stats.fdd_constructions += 1
+            result.fingerprint = fingerprint_canonical(fdd)
+
+        if "lint" in needs:
+            assert firewall is not None and fdd is not None
+            context = LintContext(firewall, guard=guard, store=store, fdd=fdd)
+            report = run_lint(
+                firewall,
+                enable=list(checkset.lint_codes),
+                guard=guard,
+                context=context,
+            )
+            payloads["lint"] = _lint_payload(report, firewall)
+
+        if "simplify" in needs:
+            from repro.simplify import simplify_firewall
+
+            assert firewall is not None
+            payloads["simplify"] = simplify_firewall(
+                firewall, guard=guard
+            ).summary()
+
+        if "compare" in needs and not stage_from_cache("compare"):
+            assert fdd is not None and plan.baseline is not None
+            baseline_text, baseline_name, baseline_digest = plan.baseline
+            memo_hit = baseline_memo.get(baseline_digest)
+            if memo_hit is not None:
+                result.baseline_fingerprint, baseline_fdd = memo_hit
+            else:
+                baseline_fw = loads(baseline_text).with_name(baseline_name)
+                baseline_fdd = store.construct(baseline_fw, guard=guard)
+                stats.fdd_constructions += 1
+                result.baseline_fingerprint = fingerprint_canonical(baseline_fdd)
+                baseline_memo[baseline_digest] = (
+                    result.baseline_fingerprint,
+                    baseline_fdd,
+                )
+            # The baseline fingerprint may only now be known (first
+            # sighting of this baseline): one more cache chance before
+            # paying for the product walk.
+            if not stage_from_cache("compare"):
+                difference = build_difference(
+                    baseline_fdd, fdd, guard=guard, store=store
+                )
+                payloads["compare"] = _compare_payload(
+                    difference, guard=guard, sample_limit=sample_limit
+                )
+
+        if "impact" in needs and not stage_from_cache("impact"):
+            compare_payload = payloads.get("compare", result.stages.get("compare"))
+            assert compare_payload is not None
+            payloads["impact"] = _impact_payload(compare_payload)
+    except BudgetExceededError as exc:
+        result.status, result.detail = "over-budget", str(exc)
+        stats.over_budget += 1
+    except ReproError as exc:
+        result.status, result.detail = "error", str(exc)
+        stats.errors += 1
+    else:
+        result.stages.update(payloads)
+        result.cached.update((stage, stage in served) for stage in payloads)
+    result.guard_spend = guard.progress() if guard is not None else {}
+
+
+def _store_computed(plan: _Plan, checkset: CheckSet, cache: ResultCache) -> None:
+    """Write a computed policy's fingerprints and fresh payloads to the cache."""
+    result = plan.result
+    if result.status != "ok" or result.fingerprint is None:
         return
-    cache.fingerprint_put(task["source_digest"], fingerprint)
-    if baseline_fingerprint is not None and task.get("baseline_digest"):
-        cache.fingerprint_put(task["baseline_digest"], baseline_fingerprint)
-    for stage, payload in outcome["payloads"].items():
-        if stage in served:
-            continue
-        fingerprints = _stage_fingerprints(
-            stage, task["source_digest"], fingerprint, baseline_fingerprint
-        )
-        stage_id = checkset.stage_id(stage)
-        cache.put(
-            ResultCache.key(stage, fingerprints, stage_id),
-            payload,
-            kind=stage,
-            fingerprints=fingerprints,
-            checkset_id=stage_id,
-            guard_spend={
-                k: v
-                for k, v in outcome["guard_spend"].items()
-                if isinstance(v, int)
-            },
-        )
+    cache.fingerprint_put(plan.source_digest, result.fingerprint)
+    if result.baseline_fingerprint is not None and plan.baseline is not None:
+        cache.fingerprint_put(plan.baseline[2], result.baseline_fingerprint)
+    guard_spend = {
+        k: v for k, v in result.guard_spend.items() if isinstance(v, int)
+    }
+    for stage, cached in result.cached.items():
+        if not cached:
+            _put_stage(cache, checkset, plan, stage, guard_spend)

@@ -260,7 +260,6 @@ class SarifAuditWriter:
                 "summary": report.summary(),
                 "stats": report.stats.to_dict(),
                 "cache": report.cache_stats,
-                "degradations": report.degradations,
             },
         }
         body = _indent(json.dumps(tail, indent=2), 6)
@@ -295,7 +294,6 @@ class JsonAuditWriter:
             "summary": report.summary(),
             "stats": report.stats.to_dict(),
             "cache": report.cache_stats,
-            "degradations": report.degradations,
         }
         body = _indent(json.dumps(tail, indent=2), 2)
         self._stream.write("\n" + _strip_braces(body).lstrip("\n") + "\n}")
@@ -358,11 +356,6 @@ class TextAuditWriter:
             f" {summary['over_budget']} over budget,"
             f" {summary['errors']} error(s)\n"
         )
-        if report.degradations:
-            self._stream.write(
-                f"  note: {len(report.degradations)} worker shard(s) degraded"
-                " to serial execution (results still exact)\n"
-            )
         if report.cache_stats is not None:
             cache = report.cache_stats
             self._stream.write(

@@ -16,9 +16,8 @@ exhausted degrades to serial in-parent execution, recorded as a
 
 Workers live in a persistent, lazily-started pool
 (:mod:`repro.parallel.pool`) shared by every fan-out in the process —
-comparison pieces and shards and audit fleets all
-lease from the same :class:`WorkerPool` through the supervisor,
-amortizing process start cost across calls.  Large shared inputs (a
+comparison pieces and shards lease from the same :class:`WorkerPool`
+through the supervisor, amortizing process start cost across calls.  Large shared inputs (a
 comparison's node-graph snapshot) are published to the pool once per
 call and shipped to each worker at most once, via shared
 memory when the platform provides it.  :func:`shutdown_pools` tears the workers down

@@ -11,7 +11,7 @@ across every comparison in the process:
   forever, executing tasks shipped as ``(function, task)`` pairs over a
   duplex pipe.  The pool is lazily spawned on first use, grows up to the
   requested ``jobs``, and survives across ``compare_sharded`` /
-  ``compare_parallel`` and fleet-audit calls — the spawn cost is paid
+  ``compare_parallel`` calls — the spawn cost is paid
   once per process, not once per comparison (see the amortization
   model in ``docs/performance.md``).
 * **Published snapshots.**  Large shared inputs — a comparison's

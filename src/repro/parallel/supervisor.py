@@ -1,8 +1,7 @@
 """Supervised worker pools: crash-resilient parallel execution.
 
 :func:`supervise` is the only way work reaches a pool worker — comparison
-pieces and shards and audit fleets all dispatch
-through it.  A worker that is SIGKILLed mid-shard, hangs,
+pieces and shards all dispatch through it.  A worker that is SIGKILLed mid-shard, hangs,
 or returns a result corrupted in transit must not lose or falsify that
 shard, so dispatch is **supervised** — every dispatched shard reaches
 exactly one of two terminal states,

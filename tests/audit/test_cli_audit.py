@@ -37,6 +37,13 @@ class TestArguments:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_jobs_is_a_usage_error(self, fleet, capsys):
+        # The fleet audit runs serially in one process.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["audit", "--manifest", str(fleet), "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
 
 class TestFormats:
     def test_text_default(self, fleet, capsys):

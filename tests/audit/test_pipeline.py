@@ -1,4 +1,4 @@
-"""The fleet pipeline: caching tiers, budgets, failures, parallelism."""
+"""The fleet pipeline: caching tiers, budgets, failures, pinned counters."""
 
 from __future__ import annotations
 
@@ -8,15 +8,11 @@ from repro.audit import (
     ResultCache,
     audit_fleet,
     load_manifest,
+    render_audit_text,
     resolve_checkset,
 )
 from repro.audit.checkset import CheckSet
-from tests.audit.conftest import (
-    BASELINE_STRICT,
-    POLICY_CLEAN,
-    POLICY_DIVERGED,
-    POLICY_OPEN,
-)
+from tests.audit.conftest import POLICY_CLEAN, POLICY_DIVERGED
 
 
 def stages_of(report):
@@ -280,21 +276,68 @@ class TestBudgetsAndFailures:
         assert cache.entry_count() == 0
 
 
-class TestParallel:
-    def test_parallel_matches_serial(self, fleet, baseline, tmp_path):
-        (fleet / "open.fw").write_text(POLICY_OPEN)
-        (tmp_path / "strict.fw").write_text(BASELINE_STRICT)
-        manifest = load_manifest(fleet, baseline=str(tmp_path / "strict.fw"))
-        serial = audit_fleet(manifest)
-        parallel = audit_fleet(manifest, jobs=2)
-        assert stages_of(serial) == stages_of(parallel)
-        assert [r.status for r in parallel.results] == ["ok", "ok", "ok"]
+class TestSerialRunPins:
+    """Exact counters and text of a cold then a warm run, so that changes
+    to the serial pipeline cannot move what it reports or caches."""
 
-    def test_parallel_populates_cache_for_serial_warm_run(
-        self, fleet, baseline, tmp_path
-    ):
+    DIVERGE = "79228162514264337593543950336 packet(s) diverge"
+    COLD_TEXT = (
+        "core.fw: 1 finding(s) (0 error(s), 1 warning(s)) baseline: equivalent\n"
+        f"team-a/edge.fw: 1 finding(s) (0 error(s), 1 warning(s)) baseline: {DIVERGE}\n"
+        "    impact: newly blocked: 79228162514264337593543950336 packet(s)\n"
+        "fleet: 2 policies, 2 lint finding(s), 1 diverged, 0 over budget, 0 error(s)\n"
+    )
+
+    def test_cold_then_warm(self, fleet, baseline, tmp_path):
         manifest = load_manifest(fleet, baseline=str(baseline))
-        audit_fleet(manifest, jobs=2, cache=ResultCache(tmp_path / "c"))
+        assert [entry.tenant for entry in manifest.entries] == ["default", "team-a"]
+        cold = audit_fleet(manifest, cache=ResultCache(tmp_path / "c"))
+        # Two policies plus the shared baseline, built once.
+        assert cold.stats.to_dict() == {
+            "policies": 2,
+            "fully_cached": 0,
+            "computed": 2,
+            "over_budget": 0,
+            "errors": 0,
+            "fdd_constructions": 3,
+        }
+        assert cold.cache_stats == {
+            "hits": 0,
+            "misses": 8,
+            "stores": 8,
+            "corrupt": 0,
+            "evictions": 0,
+            "fingerprint_hits": 0,
+            "fingerprint_misses": 4,
+            "entries": 8,
+        }
+        assert render_audit_text(cold) == self.COLD_TEXT + (
+            "cache: 0 hit(s), 8 miss(es), 8 store(s), 0 corrupt,"
+            " 3 FDD construction(s)\n"
+        )
+
         warm = audit_fleet(manifest, cache=ResultCache(tmp_path / "c"))
-        assert warm.stats.fdd_constructions == 0
-        assert warm.stats.fully_cached == warm.stats.policies
+        assert warm.stats.to_dict() == {
+            "policies": 2,
+            "fully_cached": 2,
+            "computed": 0,
+            "over_budget": 0,
+            "errors": 0,
+            "fdd_constructions": 0,
+        }
+        assert warm.cache_stats == {
+            "hits": 8,
+            "misses": 0,
+            "stores": 0,
+            "corrupt": 0,
+            "evictions": 0,
+            "fingerprint_hits": 4,
+            "fingerprint_misses": 0,
+            "entries": 8,
+        }
+        warm_text = self.COLD_TEXT.replace(" equivalent\n", " equivalent [cached]\n")
+        warm_text = warm_text.replace(" diverge\n", " diverge [cached]\n")
+        assert render_audit_text(warm) == warm_text + (
+            "cache: 8 hit(s), 0 miss(es), 0 store(s), 0 corrupt,"
+            " 0 FDD construction(s)\n"
+        )

@@ -10,6 +10,7 @@ from repro.intervals import IntervalSet
 from repro.policy import Rule
 from repro.synth import team_a_firewall, team_b_firewall
 
+from tests.bdd.test_bdd import _eval
 from tests.conftest import firewalls
 
 SCHEMA = toy_schema(7, 7)  # power-of-two domains: bits align exactly
@@ -36,8 +37,6 @@ class TestComparators:
                 for bit in range(encoder.widths[0])
             }
             # Evaluate by walking the diagram.
-            from tests.bdd.test_bdd import _eval
-
             full = {i: assignment.get(i, False) for i in range(encoder.manager.num_vars)}
             assert _eval(encoder.manager, geq, full) == (value >= lo)
             assert _eval(encoder.manager, leq, full) == (value <= hi)

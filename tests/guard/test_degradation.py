@@ -167,6 +167,24 @@ class TestExplosiveInputsTerminate:
             assert isinstance(result["error"], BudgetExceededError)
             assert result["error"].resource in ("deadline", "fdd-nodes")
 
+    def test_deadline_aborts_store_comparison(self):
+        # The store engine's own hard input: exact comparison of this
+        # pair takes about 8 s on a 2-vCPU machine, so the deadline trips.
+        fw_a = uniform_interval_firewall(80, seed=1)
+        fw_b = uniform_interval_firewall(80, seed=2)
+
+        def attempt():
+            return compare_fast(fw_a, fw_b, guard=GuardContext(Budget(deadline_s=1.0)))
+
+        start = time.monotonic()
+        result = run_with_watchdog(attempt, timeout_s=30.0)
+        elapsed = time.monotonic() - start
+        assert isinstance(result.get("error"), BudgetExceededError), result
+        assert result["error"].resource == "deadline"
+        # The trip lands within 2 s of the 1-second deadline (at it, to
+        # the millisecond, on a 2-vCPU machine).
+        assert elapsed < 1.0 + 2.0, elapsed
+
     def test_fallback_returns_flagged_report(self, tmp_path, capsys):
         # explosive_pair() explodes only the tree engine; the store
         # compares it exactly in well under a second.  An 80-rule pair of
@@ -214,6 +232,24 @@ class TestExplosiveInputsTerminate:
         result = run_with_watchdog(attempt, timeout_s=30.0)
         if "error" in result:
             assert isinstance(result["error"], BudgetExceededError)
+
+    def test_node_budget_aborts_store_construction(self):
+        # An exact comparison of this pair expands about 109k store
+        # nodes, so a 50k budget trips during construction (in about
+        # 0.2 s on a 2-vCPU machine).
+        fw_a = uniform_interval_firewall(40, seed=1)
+        fw_b = uniform_interval_firewall(40, seed=2)
+
+        def attempt():
+            return compare_fast(fw_a, fw_b, guard=GuardContext(Budget(max_nodes=50_000)))
+
+        start = time.monotonic()
+        result = run_with_watchdog(attempt, timeout_s=30.0)
+        elapsed = time.monotonic() - start
+        assert isinstance(result.get("error"), BudgetExceededError), result
+        assert result["error"].resource == "fdd-nodes"
+        assert result["error"].progress["nodes_expanded"] == 50_001
+        assert elapsed < 5.0, elapsed
 
 
 @pytest.fixture

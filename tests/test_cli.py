@@ -117,8 +117,9 @@ class TestJobs:
             main([*argv, "--jobs", jobs])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        if command in ("query", "serve-bench"):
-            # Classification does not fan out: --jobs is no option there.
+        if command in ("query", "serve-bench", "audit"):
+            # Classification and the fleet audit run in one process:
+            # --jobs is no option there.
             assert "unrecognized arguments: --jobs" in err
         else:
             assert "--jobs: must be at least 1" in err
